@@ -18,6 +18,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Sequence
 
+import numpy as np
+
 from .errors import SizeLimitError
 
 _BRUTE_FORCE_LIMIT = 10
@@ -149,3 +151,22 @@ def shortest_potentials(cost: WeightMatrix, max_passes: int | None = None) -> li
         if not improved:
             return dist
     return None
+
+
+def relax_potentials(cost: np.ndarray, max_passes: int) -> np.ndarray:
+    """All-sources shortest-path potentials, one numpy pass per round.
+
+    Every node starts at potential zero; each pass relaxes all edges at
+    once, ``dist[t] = min_s dist[s] + cost[s, t]``.  The diagonal of
+    ``cost`` must be zero.  Stops as soon as a pass changes nothing, or
+    after ``max_passes`` passes, returning the last iterate either way:
+    callers that tolerate rounding-level negative cycles get potentials
+    that are feasible up to that rounding.
+    """
+    dist = np.zeros(cost.shape[0])
+    for _ in range(max_passes):
+        nxt = np.min(dist[:, None] + cost, axis=0)
+        if not (nxt < dist).any():
+            break
+        dist = nxt
+    return dist

@@ -27,6 +27,9 @@ from .rng import Distribution, SplitMix64, Uniform01
 
 Matrix = tuple[tuple[float, ...], ...]
 
+# Entry types a row may hold to skip the per-entry check (bool excluded).
+_PLAIN_NUMBERS = {int, float}
+
 
 def _coerce_matrix(rows, n: int, name: str) -> Matrix:
     """Validate an n-by-n matrix of finite numbers; return it frozen."""
@@ -46,16 +49,33 @@ def _coerce_matrix(rows, n: int, name: str) -> Matrix:
             raise DimensionMismatchError(
                 f"{name} row {r} must have {n} entries, got {len(entries)}"
             )
-        vals = []
-        for c, x in enumerate(entries):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise MalformedInputError(f"{name}[{r}][{c}] is not a number")
-            x = float(x)
-            if not math.isfinite(x):
-                raise NonFiniteEntryError(f"{name}[{r}][{c}] is not finite")
-            vals.append(x)
-        out.append(tuple(vals))
+        if set(map(type, entries)) <= _PLAIN_NUMBERS:
+            try:
+                vals = tuple(map(float, entries))
+            except OverflowError:
+                vals = None
+            if vals is not None and all(map(math.isfinite, vals)):
+                out.append(vals)
+                continue
+        out.append(_coerce_row(entries, r, name))
     return tuple(out)
+
+
+def _coerce_row(entries: list, r: int, name: str) -> tuple[float, ...]:
+    """Entry-by-entry form of _coerce_matrix's row check, which names
+    the first offending entry; also admits int and float subclasses."""
+    vals = []
+    for c, x in enumerate(entries):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise MalformedInputError(f"{name}[{r}][{c}] is not a number")
+        try:
+            x = float(x)
+        except OverflowError:  # an int too large for a float
+            x = math.inf
+        if not math.isfinite(x):
+            raise NonFiniteEntryError(f"{name}[{r}][{c}] is not finite")
+        vals.append(x)
+    return tuple(vals)
 
 
 @dataclass(frozen=True)
@@ -86,12 +106,16 @@ class Instance:
         """Swap the sides: women become the proposing side.
 
         Rewards transpose so that the new men's table is the old women's
-        table read from the woman's viewpoint, and vice versa.
+        table read from the woman's viewpoint, and vice versa; ``beta``,
+        when present, transposes with them.
         """
         n = self.n
         tm = tuple(tuple(self.theta_w[j][i] for j in range(n)) for i in range(n))
         tw = tuple(tuple(self.theta_m[j][i] for j in range(n)) for i in range(n))
-        return Instance(n, tm, tw)
+        beta = None
+        if self.beta is not None:
+            beta = tuple(tuple(self.beta[j][i] for j in range(n)) for i in range(n))
+        return Instance(n, tm, tw, beta)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cycles import find_positive_cycle, shortest_potentials
+from .cycles import find_positive_cycle, relax_potentials, shortest_potentials
 from .errors import (
     DimensionMismatchError,
     NotCyclicallyMonotoneError,
@@ -26,6 +26,10 @@ from .errors import (
 )
 from .instances import CutVector, Matching, Matrix, _coerce_matrix
 from .tolerance import DEFAULT_EPS
+
+# Tight-edge guard in units of n * max(1, max|theta|) ulps: enough for the
+# rounding of potentials summed along chains of up to n hops.
+_TIGHT_ULPS = 32
 
 
 @dataclass(frozen=True)
@@ -65,41 +69,91 @@ def optimal_assignment(
 ) -> tuple[Matching, float]:
     """Exact maximum-total-reward matching and its value.
 
-    Solved by the O(n^3) assignment algorithm; among tied optima the
-    lexicographically smallest assignment is returned, pinned down by
-    fixing rows greedily and re-solving the remainder.
+    One O(n^3) assignment solve finds an optimum.  Chain potentials over
+    it give dual cuts u, v, and by complementary slackness the optimal
+    assignments are exactly the perfect matchings of the tight edges
+    u[i] + v[j] = theta[i][j].  Among tied optima the lexicographically
+    smallest assignment is returned, read off that tight-edge graph row
+    by row.  Tightness is tested to a few dozen ulps of
+    n * max(1, max|theta|), an arithmetic guard rather than a stability
+    predicate, so the result does not depend on ``eps``; the keyword is
+    accepted for symmetry with the predicates.
     """
     mat = _as_square(theta)
     n = len(mat)
-    arr = np.asarray(mat, dtype=float)
-    tol = max(n, 1) * eps
-
-    def best_over(rows: list[int], cols: list[int]) -> float:
-        if not rows:
-            return 0.0
-        sub = arr[np.ix_(rows, cols)]
-        ri, ci = linear_sum_assignment(sub, maximize=True)
-        return float(sub[ri, ci].sum())
-
-    total_best = best_over(list(range(n)), list(range(n)))
-    available = list(range(n))
-    chosen: list[int] = []
-    fixed_value = 0.0
-    for i in range(n):
-        rest_rows = list(range(i + 1, n))
-        for j in available:
-            rest_cols = [c for c in available if c != j]
-            attempt = fixed_value + arr[i, j] + best_over(rest_rows, rest_cols)
-            if attempt >= total_best - tol:
-                chosen.append(j)
-                available.remove(j)
-                fixed_value += float(arr[i, j])
-                break
-        else:  # pragma: no cover - greedy fixing always extends an optimum
-            raise AssertionError("no extension preserved the optimal value")
+    arr = np.asarray(mat, dtype=float).reshape(n, n)
+    _, cols = linear_sum_assignment(arr, maximize=True)
+    chosen = _lex_first_perfect_matching(_tight_edges(arr, cols), cols.tolist())
     matching = Matching(tuple(chosen))
     value = sum(mat[i][chosen[i]] for i in range(n))
     return matching, value
+
+
+def _tight_edges(arr: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """Mask of pairs whose dual slack is zero up to rounding.
+
+    The potentials are chain potentials over ``assignment`` (the hop
+    costs of ``chain_potentials``), so the assignment's own pairs are
+    tight by construction and are marked tight outright.  Rewards near
+    the float limit can overflow to inf or nan here, which leaves those
+    pairs out of the mask but never the assignment's own.
+    """
+    n = arr.shape[0]
+    rows = np.arange(n)
+    own = arr[rows, assignment]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = own[:, None] - arr[:, assignment].T
+        u = -relax_potentials(cost, n + 1)
+        v = np.empty(n)
+        v[assignment] = own - u
+        scale = n * max(1.0, float(np.abs(arr).max(initial=0.0)))
+        tight = u[:, None] + v[None, :] - arr <= _TIGHT_ULPS * np.finfo(float).eps * scale
+    tight[rows, assignment] = True
+    return tight
+
+
+def _lex_first_perfect_matching(tight: np.ndarray, assignment: list[int]) -> list[int]:
+    """Lexicographically smallest perfect matching of a bipartite graph.
+
+    ``assignment`` is any perfect matching of ``tight``.  Rows are fixed
+    in order; row i takes its smallest tight column j that some
+    alternating path through the unfixed rows can free, and the path is
+    flipped: O(n^3) at worst.  A search runs only when row i has a tight
+    unfixed column below its current one, so tie-free inputs need none.
+    """
+    n = len(assignment)
+    cols_of = [np.flatnonzero(row).tolist() for row in tight]
+    rows_of = [np.flatnonzero(col).tolist() for col in tight.T]
+    match = list(assignment)
+    owner = [0] * n
+    for i, j in enumerate(match):
+        owner[j] = i
+    for i in range(n):
+        target = match[i]
+        if next(j for j in cols_of[i] if owner[j] >= i) == target:
+            continue
+        # via[r] = the column row r moves to on its way to freeing target.
+        via: dict[int, int] = {}
+        stack = [target]
+        while stack:
+            c = stack.pop()
+            for r in rows_of[c]:
+                if r > i and r not in via:
+                    via[r] = c
+                    stack.append(match[r])
+        j = next(j for j in cols_of[i] if j == target or owner[j] in via)
+        if j == target:
+            continue
+        r = owner[j]
+        match[i], owner[j] = j, i
+        while True:
+            c = via[r]
+            after = owner[c]
+            match[r], owner[c] = c, r
+            if c == target:
+                break
+            r = after
+    return match
 
 
 def is_cyclically_monotone(
@@ -112,6 +166,12 @@ def is_cyclically_monotone(
     """
     mat = _as_square(theta)
     _check_sizes(mat, matching)
+    return _cyclic_monotonicity(mat, matching, eps)
+
+
+def _cyclic_monotonicity(
+    mat: Matrix, matching: Matching, eps: float
+) -> Union[bool, ChainWitness]:
     found = find_positive_cycle(_chain_weights(mat, matching), eps)
     if found is None:
         return True
@@ -132,6 +192,10 @@ def chain_potentials(theta: Sequence[Sequence[float]], matching: Matching) -> li
     """
     mat = _as_square(theta)
     _check_sizes(mat, matching)
+    return _chain_potentials(mat, matching)
+
+
+def _chain_potentials(mat: Matrix, matching: Matching) -> list[float]:
     n = len(mat)
     assignment = matching.assignment
     cost = []
@@ -157,12 +221,12 @@ def dual_cuts(
     """
     mat = _as_square(theta)
     _check_sizes(mat, matching)
-    witness = is_cyclically_monotone(mat, matching, eps=eps)
+    witness = _cyclic_monotonicity(mat, matching, eps)
     if witness is not True:
         raise NotCyclicallyMonotoneError(
             f"matching admits blocking chain {witness.cycle} with gain {witness.gain}"
         )
-    u_raw = chain_potentials(mat, matching)
+    u_raw = _chain_potentials(mat, matching)
     anchor = min(u_raw)
     u = [x - anchor for x in u_raw]
     n = len(mat)

@@ -76,6 +76,40 @@ class TestSolve:
         assert first.output == second.output
 
 
+# Full stdout of ``solve ft`` on two seeded n = 8 instances.  The integer
+# one has four tied optima, so it pins the lexicographic tie-break; the
+# uniform one pins cut values down to their repr.
+GOLDEN_FT = {
+    "int:0:9": (
+        "matching: 1→3', 2→2', 3→5', 4→4', 5→1', 6→8', 7→6', 8→7'\n"
+        "total value: 110\n"
+        "cuts u: [6, 8, 7, 0, 0, 5, 1, 3]\n"
+        "cuts v: [8, 4, 9, 13, 10, 11, 15, 10]\n"
+        "core audit: ok\n"
+    ),
+    "uniform01": (
+        "matching: 1→1', 2→2', 3→6', 4→5', 5→7', 6→8', 7→4', 8→3'\n"
+        "total value: 11.578203810639847\n"
+        "cuts u: [0.1047048779627876, 0.2750781046029782, 0.06201365512260448, 0, "
+        "0.20858459540210927, 0.2872824643794025, 0.11013354579615031, 0.24897213157272402]\n"
+        "cuts v: [1.2789699294089258, 1.3252577718723082, 0.688601702763304, 1.5462461020094989, "
+        "1.250960354376704, 1.534281252565853, 1.3840946612432588, 1.2730226615612383]\n"
+        "core audit: ok\n"
+    ),
+}
+
+
+class TestSolveFtGolden:
+    @pytest.mark.parametrize("dist", sorted(GOLDEN_FT))
+    def test_stdout_byte_identical(self, runner, tmp_path, dist):
+        path = str(tmp_path / "inst.json")
+        gen = runner.invoke(main, ["gen", "--n", "8", "--seed", "13", "--dist", dist, "--out", path])
+        assert gen.exit_code == 0
+        result = runner.invoke(main, ["solve", "ft", "--instance", path])
+        assert result.exit_code == 0
+        assert result.output == GOLDEN_FT[dist]
+
+
 class TestCheck:
     def test_stable_exit_0(self, runner, boxed_file, tmp_path):
         matching = write_matching(tmp_path, "ident.json", (0, 1))
@@ -275,3 +309,13 @@ class TestHygiene:
         monkeypatch.setenv("MATCHKIT_EPS", "banana")
         result = runner.invoke(main, ["solve", "nt", "--instance", boxed_file])
         assert result.exit_code == 2
+
+    def test_huge_json_integer_exit_2(self, runner, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"n": 1, "theta_m": [[1' + "0" * 400 + ']], "theta_w": [[0]]}'
+        )
+        result = runner.invoke(main, ["solve", "ft", "--instance", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert "theta_m[0][0] is not finite" in result.output

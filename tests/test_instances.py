@@ -157,6 +157,29 @@ class TestSerialization:
         with pytest.raises(MalformedInputError):
             parse_instance(text)
 
+    @pytest.mark.parametrize(
+        "entry, error, message",
+        [
+            ("true", MalformedInputError, "theta_m[1][0] is not a number"),
+            ('"x"', MalformedInputError, "theta_m[1][0] is not a number"),
+            ("-Infinity", NonFiniteEntryError, "theta_m[1][0] is not finite"),
+            ("1" + "0" * 400, NonFiniteEntryError, "theta_m[1][0] is not finite"),
+        ],
+    )
+    def test_bad_entry_is_named(self, entry, error, message):
+        text = '{"n": 2, "theta_m": [[1, 2], [' + entry + ', 3]], "theta_w": [[0, 0], [0, 0]]}'
+        with pytest.raises(error) as info:
+            parse_instance(text)
+        assert str(info.value) == message
+
+    def test_number_subclasses_coerce_to_float(self):
+        class Tagged(float):
+            pass
+
+        inst = Instance(2, ((Tagged(1.5), 2), (0, 10**20)), BOXED_THETA_W)
+        assert inst.theta_m == ((1.5, 2.0), (0.0, 1e20))
+        assert all(type(x) is float for row in inst.theta_m for x in row)
+
     def test_matching_round_trip(self):
         m = Matching((2, 0, 1))
         assert parse_matching(serialize_matching(m)) == m
@@ -200,7 +223,11 @@ class TestDomainTypes:
         mirror = boxed.mirrored()
         assert mirror.theta_m == tuple(zip(*boxed.theta_w))
         assert mirror.theta_w == tuple(zip(*boxed.theta_m))
+        assert mirror.beta is None
         assert mirror.mirrored() == Instance(2, boxed.theta_m, boxed.theta_w)
+        taxed = Instance(2, boxed.theta_m, boxed.theta_w, ((0.5, 0.6), (0.7, 0.8)))
+        assert taxed.mirrored().beta == ((0.5, 0.7), (0.6, 0.8))
+        assert taxed.mirrored().mirrored() == taxed
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=20)

@@ -1,9 +1,14 @@
 from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from matchkit import (
     CutVector,
+    IntegerRange,
     Matching,
     NotCyclicallyMonotoneError,
     PreconditionError,
@@ -19,6 +24,7 @@ from matchkit import (
     verify_ft_core,
 )
 from matchkit.cycles import best_cycle_bruteforce, find_positive_cycle
+from matchkit import transferable
 from matchkit.rng import SplitMix64
 
 from conftest import corpus_instance
@@ -94,6 +100,50 @@ class TestOptimalAssignment:
             _, value = optimal_assignment(theta)
             _, best = bruteforce_max_matching(theta)
             assert abs(value - best) <= 6 * EPS
+
+
+class TestOneSolveTieBreak:
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lex_first_optimum_matches_bruteforce(self, rows):
+        theta = tuple(tuple(float(x) for x in row) for row in rows)
+        assert optimal_assignment(theta) == bruteforce_max_matching(theta)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_scaled_1e8_corpus_solves(self, seed):
+        # Rewards near 1e8: one ulp of a total there exceeds n * eps.
+        inst = random_instance(40, derive_seed(29, seed))
+        theta = tuple(tuple(1e8 * x for x in row) for row in combined_rewards(inst))
+        matching, value = optimal_assignment(theta)
+        arr = np.asarray(theta)
+        rows, cols = linear_sum_assignment(arr, maximize=True)
+        best = float(arr[rows, cols].sum())
+        assert abs(value - best) <= 1e-12 * abs(best)
+        assert value == sum(theta[i][matching.assignment[i]] for i in range(len(theta)))
+
+    def test_zero_eps_on_ties(self):
+        theta = ((1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 1.0))
+        assert optimal_assignment(theta, eps=0.0) == bruteforce_max_matching(theta)
+        zeros = ((0.0,) * 5,) * 5
+        assert optimal_assignment(zeros, eps=0.0)[0].assignment == (0, 1, 2, 3, 4)
+
+    def test_one_assignment_solve_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linear_sum_assignment(*args, **kwargs)
+
+        monkeypatch.setattr(transferable, "linear_sum_assignment", counting)
+        inst = random_instance(12, derive_seed(30, 0), IntegerRange(0, 2))
+        optimal_assignment(combined_rewards(inst))
+        assert len(calls) == 1
 
 
 class TestCyclicMonotonicity:
