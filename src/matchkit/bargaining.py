@@ -12,7 +12,9 @@ its cuts and no pair at all could enter the interior of its own set.
 ``search_core`` decides that condition exactly at tiny n by branching
 over the half-plane complements of each interior and solving each
 branch with rational arithmetic, sidestepping float boundaries exactly
-where the definition is boundary-sensitive.
+where the definition is boundary-sensitive.  One half-plane table serves
+both: the float predicates read it in floats, the search in Fractions
+of the same floats' exact values.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .tolerance import DEFAULT_EPS
 MODEL_KINDS = ("fnt", "ft", "ft_nonneg", "ft_m2w", "ft_taxed")
 
 CORE_SEARCH_LIMIT = 3
-
-_SCALE = 10**9
 
 
 @dataclass(frozen=True)
@@ -80,24 +80,28 @@ def _beta_at(model: BargainingModel, inst: Instance, i: int, j: int) -> float:
     return model.beta[i][j]
 
 
-def _halfplanes(
-    model: BargainingModel, inst: Instance, i: int, j: int
-) -> tuple[tuple[float, float, float], ...]:
-    """F(i, j) as half-planes (cu, cv, rhs): cu*u + cv*v <= rhs."""
-    tm = inst.theta_m[i][j]
-    tw = inst.theta_w[i][j]
+def _halfplanes(model: BargainingModel, inst: Instance, i: int, j: int, num=float) -> tuple:
+    """F(i, j) as half-planes (cu, cv, rhs): cu*u + cv*v <= rhs.
+
+    ``num`` is the number type of the right-hand sides and of 1/beta:
+    ``float`` for the tolerance predicates, ``Fraction`` for the exact
+    search, which then works on each float's exact binary value.  The
+    coefficients are plain 1s and 0s, exact in either arithmetic.
+    """
+    tm = num(inst.theta_m[i][j])
+    tw = num(inst.theta_w[i][j])
     kind = model.kind
     if kind == "fnt":
-        return ((1.0, 0.0, tm), (0.0, 1.0, tw))
+        return ((1, 0, tm), (0, 1, tw))
     total = tm + tw
     if kind == "ft":
-        return ((1.0, 1.0, total),)
+        return ((1, 1, total),)
     if kind == "ft_nonneg":
-        return ((1.0, 1.0, total), (1.0, 0.0, total), (0.0, 1.0, total))
+        return ((1, 1, total), (1, 0, total), (0, 1, total))
     if kind == "ft_m2w":
-        return ((1.0, 1.0, total), (1.0, 0.0, tm))
-    inv = 1.0 / _beta_at(model, inst, i, j)
-    return ((1.0, inv, tm + tw * inv), (1.0, 0.0, tm))
+        return ((1, 1, total), (1, 0, tm))
+    inv = 1 / num(_beta_at(model, inst, i, j))
+    return ((1, inv, tm + tw * inv), (1, 0, tm))
 
 
 def in_feasible_set(
@@ -152,13 +156,6 @@ def _corner_level(model: BargainingModel, inst: Instance, i: int, j: int) -> flo
     return min((b * tm + tw) / (1.0 + b), tm)
 
 
-def _max_pair_sum(model: BargainingModel, inst: Instance, i: int, j: int) -> float:
-    """Largest u + v attainable in F(i, j)."""
-    tm = inst.theta_m[i][j]
-    tw = inst.theta_w[i][j]
-    return tm + tw  # equals the pooled budget in every family
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Sampled audit of the structural requirements on a family.
@@ -191,7 +188,8 @@ def check_assumption(
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     n = inst.n
-    c1 = max(_max_pair_sum(model, inst, i, j) for i in range(n) for j in range(n))
+    # the pooled budget tm + tw is the largest u + v in every family
+    c1 = max(inst.theta_m[i][j] + inst.theta_w[i][j] for i in range(n) for j in range(n))
     c2 = min(_corner_level(model, inst, i, j) for i in range(n) for j in range(n))
     span = max(c1 - c2, 1.0)
     lo = c2 - span - 1.0
@@ -258,43 +256,6 @@ def canonical_fnt_cuts(inst: Instance, matching: Matching) -> CutVector:
     return CutVector(tuple(u), tuple(v))
 
 
-def _frac(x: float) -> Fraction:
-    return Fraction(round(x * _SCALE), _SCALE)
-
-
-class _ExactTables:
-    """Rational reward tables and half-plane data for the core search."""
-
-    def __init__(self, model: BargainingModel, inst: Instance):
-        n = inst.n
-        self.kind = model.kind
-        self.tm = [[_frac(inst.theta_m[i][j]) for j in range(n)] for i in range(n)]
-        self.tw = [[_frac(inst.theta_w[i][j]) for j in range(n)] for i in range(n)]
-        self.inv_beta = None
-        if model.kind == "ft_taxed":
-            self.inv_beta = [
-                [1 / _frac(_beta_at(model, inst, i, j)) for j in range(n)] for i in range(n)
-            ]
-
-    def halfplanes(self, i: int, j: int) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        one = Fraction(1)
-        zero = Fraction(0)
-        tm = self.tm[i][j]
-        tw = self.tw[i][j]
-        kind = self.kind
-        if kind == "fnt":
-            return ((one, zero, tm), (zero, one, tw))
-        total = tm + tw
-        if kind == "ft":
-            return ((one, one, total),)
-        if kind == "ft_nonneg":
-            return ((one, one, total), (one, zero, total), (zero, one, total))
-        if kind == "ft_m2w":
-            return ((one, one, total), (one, zero, tm))
-        inv = self.inv_beta[i][j]
-        return ((one, inv, tm + tw * inv), (one, zero, tm))
-
-
 def _pair_constraint(nv, ui, vj, cu, cv, rhs):
     coeffs = [Fraction(0)] * nv
     coeffs[ui] = cu
@@ -353,8 +314,9 @@ def search_core(
     per-person-cap family, one for the pooled budget, up to three for
     the capped-pool family).  Branches are explored depth-first in a
     fixed pair-major order with interval pruning; each leaf is an exact
-    rational feasibility problem.  Float rewards are scaled by 1e9 and
-    rounded once, so boundary cases are decided consistently.
+    rational feasibility problem over the exact binary values of the
+    float rewards and betas, built from the same half-plane table as
+    the float predicates, so boundary cases are decided consistently.
 
     Returns supporting cuts for the first feasible branch, or None when
     every branch is infeasible (the matching has no core point).
@@ -364,20 +326,19 @@ def search_core(
         raise DimensionMismatchError("matching and instance sizes must agree")
     if n > CORE_SEARCH_LIMIT:
         raise SizeLimitError(f"core search limited to n <= {CORE_SEARCH_LIMIT}, got {n}")
-    exact = _ExactTables(model, inst)
     nv = 2 * n
 
     base: list = []
     for i in range(n):
         wi = matching.assignment[i]
-        for cu, cv, rhs in exact.halfplanes(i, wi):
+        for cu, cv, rhs in _halfplanes(model, inst, i, wi, Fraction):
             base.append(_pair_constraint(nv, i, n + wi, cu, cv, rhs))
 
     branch_sets: list[list] = []
     for i in range(n):
         for j in range(n):
             options = []
-            for cu, cv, rhs in exact.halfplanes(i, j):
+            for cu, cv, rhs in _halfplanes(model, inst, i, j, Fraction):
                 options.append(_pair_constraint(nv, i, n + j, -cu, -cv, -rhs))
             branch_sets.append(options)
 

@@ -10,6 +10,7 @@ Exit codes: 0 success (or "stable"), 1 unstable / no core point,
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -67,6 +68,8 @@ def _load_matching(path: str, n: int) -> Matching:
 
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        return repr(x)
     nearest = round(x)
     if abs(x - nearest) < 1e-12:
         return str(int(nearest))
@@ -157,25 +160,24 @@ def solve_ft(instance_path: str, out_path: str | None):
 @click.option("--q", required=True, type=float)
 def check(instance_path: str, matching_path: str, p: float, q: float):
     """Is the matching (p, q)-stable?  Exit 0 stable, 1 unstable."""
-    eps = resolve_eps()
-    try:
+
+    def run():
+        eps = resolve_eps()
         inst = _load_instance(instance_path)
         matching = _load_matching(matching_path, inst.n)
         pq = PQParams(p, q)
         verdict = find_pq_blocking_chain(inst, matching, pq, eps=eps)
-    except SizeLimitError as exc:
-        _die(EXIT_SIZE, str(exc))
-    except MatchkitError as exc:
-        _die(EXIT_USAGE, str(exc))
-    click.echo(f"matching: {_fmt_matching(matching)}")
-    click.echo(f"(p, q) = ({_fmt(p)}, {_fmt(q)})")
-    if verdict is True:
-        click.echo("stable: yes")
-        return
-    couples = ", ".join(str(c + 1) for c in verdict.cycle)
-    click.echo("stable: no")
-    click.echo(f"blocking chain: couples ({couples}), clipped gain {_fmt(verdict.clipped_gain)}")
-    sys.exit(EXIT_UNSTABLE)
+        click.echo(f"matching: {_fmt_matching(matching)}")
+        click.echo(f"(p, q) = ({_fmt(p)}, {_fmt(q)})")
+        if verdict is True:
+            click.echo("stable: yes")
+            return
+        couples = ", ".join(str(c + 1) for c in verdict.cycle)
+        click.echo("stable: no")
+        click.echo(f"blocking chain: couples ({couples}), clipped gain {_fmt(verdict.clipped_gain)}")
+        sys.exit(EXIT_UNSTABLE)
+
+    _guard(run)
 
 
 @main.command()
@@ -258,8 +260,9 @@ def core(model_name: str, instance_path: str, matching_path: str):
     the others run the exact search (n <= 3).  Exit 0 when a core
     point exists, 1 when none does.
     """
-    eps = resolve_eps()
-    try:
+
+    def run():
+        eps = resolve_eps()
         inst = _load_instance(instance_path)
         matching = _load_matching(matching_path, inst.n)
         beta = inst.beta if model_name == "ft_taxed" else None
@@ -270,17 +273,15 @@ def core(model_name: str, instance_path: str, matching_path: str):
         else:
             cuts = search_core(model, inst, matching, eps=eps)
             valid = cuts is not None
-    except SizeLimitError as exc:
-        _die(EXIT_SIZE, str(exc))
-    except MatchkitError as exc:
-        _die(EXIT_USAGE, str(exc))
-    click.echo(f"model: {model_name}")
-    click.echo(f"matching: {_fmt_matching(matching)}")
-    if valid:
-        click.echo(f"core-valid: yes (u={_fmt_vector(cuts.u)}, v={_fmt_vector(cuts.v)})")
-        return
-    click.echo("core-valid: no")
-    sys.exit(EXIT_UNSTABLE)
+        click.echo(f"model: {model_name}")
+        click.echo(f"matching: {_fmt_matching(matching)}")
+        if valid:
+            click.echo(f"core-valid: yes (u={_fmt_vector(cuts.u)}, v={_fmt_vector(cuts.v)})")
+            return
+        click.echo("core-valid: no")
+        sys.exit(EXIT_UNSTABLE)
+
+    _guard(run)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,10 @@ Any candidate cycle recovered from the predecessor chain is re-checked
 against the raw weights before it is reported; if every candidate lands
 inside the sub-eps knife edge, small graphs fall back to exhaustive
 enumeration so the verdict matches the brute-force oracle exactly.
+
+Shortest-path potentials (the dual cuts and the optimal-assignment
+tie-break) come from ``relax_potentials``, one vectorized all-sources
+Bellman-Ford pass per round, which also reports whether it settled.
 """
 
 from __future__ import annotations
@@ -127,39 +131,15 @@ def best_cycle_bruteforce(
     return best
 
 
-def shortest_potentials(cost: WeightMatrix, max_passes: int | None = None) -> list[float] | None:
-    """All-sources shortest-path potentials on a dense digraph.
-
-    Every node starts at potential zero; edges relax until convergence.
-    Returns None when relaxation fails to settle (a negative cycle).
-    """
-    n = len(cost)
-    dist = [0.0] * n
-    passes = max_passes if max_passes is not None else 4 * max(n, 1)
-    for _ in range(passes):
-        improved = False
-        for a in range(n):
-            da = dist[a]
-            row = cost[a]
-            for b in range(n):
-                if a == b:
-                    continue
-                nd = da + row[b]
-                if nd < dist[b]:
-                    dist[b] = nd
-                    improved = True
-        if not improved:
-            return dist
-    return None
-
-
-def relax_potentials(cost: np.ndarray, max_passes: int) -> np.ndarray:
+def relax_potentials(cost: np.ndarray, max_passes: int) -> tuple[np.ndarray, bool]:
     """All-sources shortest-path potentials, one numpy pass per round.
 
     Every node starts at potential zero; each pass relaxes all edges at
     once, ``dist[t] = min_s dist[s] + cost[s, t]``.  The diagonal of
-    ``cost`` must be zero.  Stops as soon as a pass changes nothing, or
-    after ``max_passes`` passes, returning the last iterate either way:
+    ``cost`` must be zero.  Returns ``(dist, settled)``: ``settled`` is
+    True when a pass changed nothing within ``max_passes`` passes, and
+    False when relaxation was still improving (a negative cycle, or one
+    lost in rounding).  ``dist`` is the last iterate either way, so
     callers that tolerate rounding-level negative cycles get potentials
     that are feasible up to that rounding.
     """
@@ -167,6 +147,6 @@ def relax_potentials(cost: np.ndarray, max_passes: int) -> np.ndarray:
     for _ in range(max_passes):
         nxt = np.min(dist[:, None] + cost, axis=0)
         if not (nxt < dist).any():
-            break
+            return dist, True
         dist = nxt
-    return dist
+    return dist, False

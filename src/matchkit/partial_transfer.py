@@ -88,6 +88,29 @@ class PQChainWitness:
         return False
 
 
+def _pq_weights(inst: Instance, assignment, p: float, q: float) -> list[list[float]]:
+    """weights[a][b]: the p-clipped delta_q of couple a's man courting
+    couple b's woman; zero on the diagonal."""
+    n = inst.n
+    theta_m, theta_w = inst.theta_m, inst.theta_w
+    own_w = [theta_w[b][assignment[b]] for b in range(n)]
+    weights = [[0.0] * n for _ in range(n)]
+    for a in range(n):
+        row_m = theta_m[a]
+        row_w = theta_w[a]
+        base_m = row_m[assignment[a]]
+        row = weights[a]
+        for b in range(n):
+            if a == b:
+                continue
+            wb = assignment[b]
+            ga = row_m[wb] - base_m
+            gb = row_w[wb] - own_w[b]
+            d = min(q * ga + gb, q * gb + ga)
+            row[b] = d if d >= 0.0 else p * d
+    return weights
+
+
 def find_pq_blocking_chain(
     inst: Instance, matching: Matching, pq: PQParams, *, eps: float = DEFAULT_EPS
 ) -> Union[bool, PQChainWitness]:
@@ -101,25 +124,7 @@ def find_pq_blocking_chain(
         raise DimensionMismatchError(
             f"matching size {matching.n} does not fit instance size {inst.n}"
         )
-    n = inst.n
-    p, q = pq.p, pq.q
-    assignment = matching.assignment
-    theta_m, theta_w = inst.theta_m, inst.theta_w
-    weights = [[0.0] * n for _ in range(n)]
-    for a in range(n):
-        wa = assignment[a]
-        row_m = theta_m[a]
-        row_w = theta_w[a]
-        base_m = row_m[wa]
-        for b in range(n):
-            if a == b:
-                continue
-            wb = assignment[b]
-            ga = row_m[wb] - base_m
-            gb = row_w[wb] - theta_w[b][wb]
-            d = min(q * ga + gb, q * gb + ga)
-            weights[a][b] = d if d >= 0.0 else p * d
-    found = find_positive_cycle(weights, eps)
+    found = find_positive_cycle(_pq_weights(inst, matching.assignment, pq.p, pq.q), eps)
     if found is None:
         return True
     cycle, gain = found
@@ -137,34 +142,8 @@ def exists_pq_stable(
     n = inst.n
     if n > ORACLE_LIMIT:
         raise SizeLimitError(f"existence oracle limited to n <= {ORACLE_LIMIT}, got {n}")
-    p, q = pq.p, pq.q
-    theta_m, theta_w = inst.theta_m, inst.theta_w
-    # gain_m[i][j][w]: man i's change moving to woman j from woman w;
-    # gain_w[i][j][k]: woman j's change taking man i from man k.
-    gain_m = [
-        [[theta_m[i][j] - theta_m[i][w] for w in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    gain_w = [
-        [[theta_w[i][j] - theta_w[k][j] for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
     for perm in permutations(range(n)):
-        weights = [[0.0] * n for _ in range(n)]
-        for a in range(n):
-            wa = perm[a]
-            gm = gain_m[a]
-            gw = gain_w[a]
-            row = weights[a]
-            for b in range(n):
-                if a == b:
-                    continue
-                wb = perm[b]
-                ga = gm[wb][wa]
-                gb = gw[wb][b]
-                d = min(q * ga + gb, q * gb + ga)
-                row[b] = d if d >= 0.0 else p * d
-        if find_positive_cycle(weights, eps) is None:
+        if find_positive_cycle(_pq_weights(inst, perm, pq.p, pq.q), eps) is None:
             return Matching(perm)
     return None
 

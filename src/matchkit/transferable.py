@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cycles import find_positive_cycle, relax_potentials, shortest_potentials
+from .cycles import find_positive_cycle, relax_potentials
 from .errors import (
     DimensionMismatchError,
     NotCyclicallyMonotoneError,
@@ -89,21 +89,35 @@ def optimal_assignment(
     return matching, value
 
 
+def _chain_distances(
+    arr: np.ndarray, assignment: np.ndarray, max_passes: int
+) -> tuple[np.ndarray, bool]:
+    """``relax_potentials`` over the hop costs of ``chain_potentials``.
+
+    The hop from couple s to couple t costs own[s] - arr[t, assignment[s]].
+    Rewards near the float limit can overflow to inf or nan here; that is
+    left to the callers rather than reported as a warning.
+    """
+    own = arr[np.arange(arr.shape[0]), assignment]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return relax_potentials(own[:, None] - arr[:, assignment].T, max_passes)
+
+
 def _tight_edges(arr: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """Mask of pairs whose dual slack is zero up to rounding.
 
-    The potentials are chain potentials over ``assignment`` (the hop
-    costs of ``chain_potentials``), so the assignment's own pairs are
-    tight by construction and are marked tight outright.  Rewards near
-    the float limit can overflow to inf or nan here, which leaves those
-    pairs out of the mask but never the assignment's own.
+    The potentials are chain potentials over ``assignment``, so the
+    assignment's own pairs are tight by construction and are marked
+    tight outright.  Rewards near the float limit can overflow to inf or
+    nan here, which leaves those pairs out of the mask but never the
+    assignment's own.
     """
     n = arr.shape[0]
     rows = np.arange(n)
     own = arr[rows, assignment]
+    dist, _ = _chain_distances(arr, assignment, n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        cost = own[:, None] - arr[:, assignment].T
-        u = -relax_potentials(cost, n + 1)
+        u = -dist
         v = np.empty(n)
         v[assignment] = own - u
         scale = n * max(1.0, float(np.abs(arr).max(initial=0.0)))
@@ -197,16 +211,11 @@ def chain_potentials(theta: Sequence[Sequence[float]], matching: Matching) -> li
 
 def _chain_potentials(mat: Matrix, matching: Matching) -> list[float]:
     n = len(mat)
-    assignment = matching.assignment
-    cost = []
-    for s in range(n):
-        ws = assignment[s]
-        own = mat[s][ws]
-        cost.append([own - mat[t][ws] for t in range(n)])
-    dist = shortest_potentials(cost)
-    if dist is None:
+    arr = np.asarray(mat, dtype=float).reshape(n, n)
+    dist, settled = _chain_distances(arr, np.asarray(matching.assignment), 4 * n)
+    if not settled:
         raise NotCyclicallyMonotoneError("chain potentials diverge: a blocking chain exists")
-    return [-d for d in dist]
+    return (-dist).tolist()
 
 
 def dual_cuts(

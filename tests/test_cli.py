@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -55,6 +56,15 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "ft", "--instance", str(path)])
         assert result.exit_code == 0
         assert "total value: 6" in result.output
+
+    def test_ft_overflowing_total_prints_inf(self, runner, tmp_path):
+        inst = Instance(2, ((1e308, 0.0), (0.0, 1e308)), ((0.0, 0.0), (0.0, 0.0)))
+        path = tmp_path / "big.json"
+        path.write_text(serialize_instance(inst))
+        result = runner.invoke(main, ["solve", "ft", "--instance", str(path)])
+        assert result.exit_code == 0
+        assert "total value: inf" in result.output
+        assert "core audit: ok" in result.output
 
     def test_out_writes_matching(self, runner, boxed_file, tmp_path):
         out = tmp_path / "m.json"
@@ -282,18 +292,32 @@ class TestCore:
         assert result.exit_code in (0, 1)  # decided, not an error
 
 
+    def test_ft_huge_reward_exit_0(self, runner, tmp_path):
+        inst = Instance(2, ((1e300, 0.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, 0.0)))
+        inst_path = tmp_path / "huge.json"
+        inst_path.write_text(serialize_instance(inst))
+        matching = write_matching(tmp_path, "ident.json", (0, 1))
+        result = runner.invoke(
+            main,
+            ["core", "--model", "ft", "--instance", str(inst_path), "--matching", matching],
+        )
+        assert result.exit_code == 0
+        assert result.exception is None  # no traceback
+        assert "core-valid: yes" in result.output
+
+
 class TestHygiene:
     def test_inputs_never_modified(self, runner, boxed_file, tmp_path):
-        before = open(boxed_file, "rb").read()
+        before = Path(boxed_file).read_bytes()
         matching = write_matching(tmp_path, "ident.json", (0, 1))
-        m_before = open(matching, "rb").read()
+        m_before = Path(matching).read_bytes()
         runner.invoke(main, ["solve", "nt", "--instance", boxed_file])
         runner.invoke(
             main,
             ["check", "--instance", boxed_file, "--matching", matching, "--p", "0", "--q", "0"],
         )
-        assert open(boxed_file, "rb").read() == before
-        assert open(matching, "rb").read() == m_before
+        assert Path(boxed_file).read_bytes() == before
+        assert Path(matching).read_bytes() == m_before
 
     def test_eps_env_override(self, runner, boxed_file, tmp_path, monkeypatch):
         monkeypatch.setenv("MATCHKIT_EPS", "0.5")
@@ -319,3 +343,15 @@ class TestHygiene:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
         assert "theta_m[0][0] is not finite" in result.output
+
+    @pytest.mark.parametrize("command", ["check", "core"])
+    def test_bad_eps_env_check_and_core_exit_2(self, runner, boxed_file, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("MATCHKIT_EPS", "abc")
+        matching = write_matching(tmp_path, "ident.json", (0, 1))
+        args = ["--instance", boxed_file, "--matching", matching]
+        extra = ["--p", "0", "--q", "0"] if command == "check" else ["--model", "ft"]
+        result = runner.invoke(main, [command] + args + extra)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert result.stderr.startswith("error: MATCHKIT_EPS")
+        assert "Traceback" not in result.output

@@ -12,6 +12,7 @@ from matchkit import (
     Matching,
     PreconditionError,
     SizeLimitError,
+    SplitMix64,
     bruteforce_max_matching,
     canonical_fnt_cuts,
     check_assumption,
@@ -324,3 +325,17 @@ class TestSearchCore:
             assert (search_core(taxed, inst, matching) is None) == (
                 search_core(m2w, inst, matching) is None
             )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_found_cuts_verify_all_families(self, seed):
+        # Off-grid floats: uniform rewards and retention factors in (0.5, 1].
+        base = random_instance(2, derive_seed(63, seed))
+        rng = SplitMix64(derive_seed(64, seed))
+        beta = tuple(tuple(1.0 - 0.5 * rng.uniform01() for _ in range(2)) for _ in range(2))
+        inst = Instance(2, base.theta_m, base.theta_w, beta)
+        for kind in ALL_KINDS:
+            model = BargainingModel(kind, beta if kind == "ft_taxed" else None)
+            for perm in permutations(range(2)):
+                found = search_core(model, inst, Matching(perm))
+                if found is not None:
+                    assert verify_core_point(model, inst, Matching(perm), found), kind

@@ -27,7 +27,7 @@ from matchkit.cycles import best_cycle_bruteforce, find_positive_cycle
 from matchkit import transferable
 from matchkit.rng import SplitMix64
 
-from conftest import corpus_instance
+from conftest import corpus_instance, seeded_permutation
 
 BOXED_THETA = ((2.0, 5.0), (0.0, 2.0))
 EPS = 1e-9
@@ -220,6 +220,70 @@ class TestDualCuts:
         u0 = chain_potentials(theta, matching)
         for target in range(n):
             assert abs(u0[target] + chain_value_oracle(theta, matching, target)) < EPS
+
+
+def gauss_seidel_potentials(theta, matching):
+    """Reference: the in-place all-sources Bellman-Ford that chain
+    potentials used to run, over the same hop costs and pass cap.
+
+    Returns -dist, or None when 4n passes do not settle."""
+    n = len(theta)
+    assignment = matching.assignment
+    cost = [[theta[s][assignment[s]] - theta[t][assignment[s]] for t in range(n)] for s in range(n)]
+    dist = [0.0] * n
+    for _ in range(4 * n):
+        improved = False
+        for a in range(n):
+            for b in range(n):
+                if a != b and dist[a] + cost[a][b] < dist[b]:
+                    dist[b] = dist[a] + cost[a][b]
+                    improved = True
+        if not improved:
+            return [-d for d in dist]
+    return None
+
+
+def _potentials_corpus():
+    """Seeded (label, theta, matching) cases: optimal matchings on
+    tie-free, tied and 1e8-scaled rewards, plus random matchings, most of
+    which admit a blocking chain and make both loops diverge."""
+    for seed in range(12):
+        n = (2, 3, 5, 8, 13, 21, 34, 40)[seed % 8]
+        for label, dist, scale in (
+            ("uniform", None, 1.0),
+            ("int:0:9", IntegerRange(0, 9), 1.0),
+            ("int:0:2", IntegerRange(0, 2), 1.0),
+            ("uniform*1e8", None, 1e8),
+        ):
+            args = (n, derive_seed(31, seed)) + ((dist,) if dist is not None else ())
+            theta = tuple(
+                tuple(scale * x for x in row) for row in combined_rewards(random_instance(*args))
+            )
+            yield label, theta, optimal_assignment(theta)[0]
+            yield label + "/random", theta, Matching(seeded_permutation(n, SplitMix64(seed)))
+
+
+class TestChainPotentialsReference:
+    def test_equal_to_gauss_seidel_reference(self):
+        diverged = 0
+        for label, theta, matching in _potentials_corpus():
+            expected = gauss_seidel_potentials(theta, matching)
+            if expected is None:
+                diverged += 1
+                with pytest.raises(NotCyclicallyMonotoneError, match="diverge"):
+                    chain_potentials(theta, matching)
+            else:
+                assert chain_potentials(theta, matching) == expected, label
+        assert diverged > 0
+
+    def test_sub_eps_chain_diverges(self):
+        # a 5e-10 blocking chain hides under eps but not from the potentials
+        theta = ((0.0, 5e-10), (0.0, 0.0))
+        assert gauss_seidel_potentials(theta, Matching((0, 1))) is None
+        with pytest.raises(NotCyclicallyMonotoneError, match="diverge"):
+            chain_potentials(theta, Matching((0, 1)))
+        with pytest.raises(NotCyclicallyMonotoneError, match="diverge"):
+            dual_cuts(theta, Matching((0, 1)))
 
 
 class TestVerifyFtCore:
