@@ -25,6 +25,7 @@ from fractions import Fraction
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    NonFiniteEntryError,
     PreconditionError,
     SizeLimitError,
 )
@@ -139,21 +140,12 @@ def in_interior(
 
 
 def _corner_level(model: BargainingModel, inst: Instance, i: int, j: int) -> float:
-    """Largest c with (c, c) guaranteed inside F(i, j)."""
-    tm = inst.theta_m[i][j]
-    tw = inst.theta_w[i][j]
-    kind = model.kind
-    if kind == "fnt":
-        return min(tm, tw)
-    total = tm + tw
-    if kind == "ft":
-        return total / 2.0
-    if kind == "ft_nonneg":
-        return min(total / 2.0, total)
-    if kind == "ft_m2w":
-        return min(total / 2.0, tm)
-    b = _beta_at(model, inst, i, j)
-    return min((b * tm + tw) / (1.0 + b), tm)
+    """Largest c with (c, c) guaranteed inside F(i, j).
+
+    Every half-plane has cu + cv >= 1, so (c, c) meets it exactly when
+    c <= rhs / (cu + cv).
+    """
+    return min(rhs / (cu + cv) for cu, cv, rhs in _halfplanes(model, inst, i, j))
 
 
 @dataclass(frozen=True)
@@ -369,7 +361,8 @@ def search_core(
     point = descend(0, base, lo, hi)
     if point is None:
         return None
-    return CutVector(
-        tuple(float(point[i]) for i in range(n)),
-        tuple(float(point[n + j]) for j in range(n)),
-    )
+    try:
+        values = [float(x) for x in point]
+    except OverflowError:
+        raise NonFiniteEntryError("the core point found has a cut beyond the float range") from None
+    return CutVector(tuple(values[:n]), tuple(values[n:]))

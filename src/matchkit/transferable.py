@@ -6,7 +6,11 @@ couples can rotate partners for a positive total gain, which in turn is
 exactly when the matching maximizes total reward.  The supporting cut
 vector comes from shortest-path potentials over the chain graph and
 certifies stability: matched pairs split their reward exactly, and no
-other pair's reward exceeds the sum of its two cuts.
+other pair's reward exceeds the sum of its two cuts.  Those potentials
+settle exactly when no blocking chain exists, so the relaxation that
+builds the cuts is itself the stability check; the cycle detector runs
+only to name a witness chain when the relaxation does not settle or
+its cuts fall short.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .tolerance import DEFAULT_EPS
 # Tight-edge guard in units of n * max(1, max|theta|) ulps: enough for the
 # rounding of potentials summed along chains of up to n hops.
 _TIGHT_ULPS = 32
+
+_DIVERGED = "chain potentials diverge: a blocking chain exists"
 
 
 @dataclass(frozen=True)
@@ -180,12 +186,6 @@ def is_cyclically_monotone(
     """
     mat = _as_square(theta)
     _check_sizes(mat, matching)
-    return _cyclic_monotonicity(mat, matching, eps)
-
-
-def _cyclic_monotonicity(
-    mat: Matrix, matching: Matching, eps: float
-) -> Union[bool, ChainWitness]:
     found = find_positive_cycle(_chain_weights(mat, matching), eps)
     if found is None:
         return True
@@ -206,15 +206,11 @@ def chain_potentials(theta: Sequence[Sequence[float]], matching: Matching) -> li
     """
     mat = _as_square(theta)
     _check_sizes(mat, matching)
-    return _chain_potentials(mat, matching)
-
-
-def _chain_potentials(mat: Matrix, matching: Matching) -> list[float]:
     n = len(mat)
     arr = np.asarray(mat, dtype=float).reshape(n, n)
     dist, settled = _chain_distances(arr, np.asarray(matching.assignment), 4 * n)
     if not settled:
-        raise NotCyclicallyMonotoneError("chain potentials diverge: a blocking chain exists")
+        raise NotCyclicallyMonotoneError(_DIVERGED)
     return (-dist).tolist()
 
 
@@ -227,22 +223,38 @@ def dual_cuts(
     each matched pair to an exact split of its reward.  The result
     satisfies u[i] + v[j] >= theta[i][j] for every pair, with equality
     on matched pairs.
+
+    The relaxation is the stability check: it settles exactly when no
+    chain gains, and its cuts are accepted once they cover every pair
+    to within eps/n, which bounds every cycle's gain by eps.  Only when
+    that fails does the cycle detector run, to name a witness chain
+    gaining more than ``eps``; without one, an unsettled relaxation is
+    reported as divergence and a settled one's cuts are returned.
     """
     mat = _as_square(theta)
     _check_sizes(mat, matching)
-    witness = _cyclic_monotonicity(mat, matching, eps)
-    if witness is not True:
-        raise NotCyclicallyMonotoneError(
-            f"matching admits blocking chain {witness.cycle} with gain {witness.gain}"
-        )
-    u_raw = _chain_potentials(mat, matching)
+    n = len(mat)
+    arr = np.asarray(mat, dtype=float).reshape(n, n)
+    dist, settled = _chain_distances(arr, np.asarray(matching.assignment), 4 * n)
+    u_raw = (-dist).tolist()
     anchor = min(u_raw)
     u = [x - anchor for x in u_raw]
-    n = len(mat)
     v = [0.0] * n
     for i in range(n):
         woman = matching.assignment[i]
         v[woman] = mat[i][woman] - u[i]
+    # Overflow, or rounding between rewards far apart in magnitude, can
+    # settle the relaxation on potentials that no longer cover a pair.
+    with np.errstate(over="ignore", invalid="ignore"):
+        certified = settled and bool((np.add.outer(u, v) >= arr - eps / n).all())
+    if not certified:
+        witness = is_cyclically_monotone(mat, matching, eps=eps)
+        if witness is not True:
+            raise NotCyclicallyMonotoneError(
+                f"matching admits blocking chain {witness.cycle} with gain {witness.gain}"
+            )
+        if not settled:
+            raise NotCyclicallyMonotoneError(_DIVERGED)
     return CutVector(tuple(u), tuple(v))
 
 

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchkit import Instance, parse_instance, serialize_instance
 from matchkit.cli import main
@@ -26,6 +28,14 @@ def write_matching(tmp_path, name, assignment):
     path = tmp_path / name
     path.write_text(json.dumps({"assignment": list(assignment)}))
     return str(path)
+
+
+def write_near_limit(tmp_path):
+    """Rewards of 1.7e308 on both diagonals, and the identity matching."""
+    big = ((1.7e308, 0.0), (0.0, 1.7e308))
+    path = tmp_path / "near_limit.json"
+    path.write_text(serialize_instance(Instance(2, big, big)))
+    return str(path), write_matching(tmp_path, "ident.json", (0, 1))
 
 
 class TestSolve:
@@ -305,6 +315,26 @@ class TestCore:
         assert result.exception is None  # no traceback
         assert "core-valid: yes" in result.output
 
+    @pytest.mark.parametrize("model", ["ft", "ft_nonneg"])
+    def test_cut_beyond_float_range_exit_2(self, runner, tmp_path, model):
+        # The exact search's core point has a cut of 3.4e308.
+        inst_path, matching = write_near_limit(tmp_path)
+        result = runner.invoke(
+            main, ["core", "--model", model, "--instance", inst_path, "--matching", matching]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output
+
+    def test_cuts_beyond_2_53_print_as_repr(self, runner, tmp_path):
+        inst_path, matching = write_near_limit(tmp_path)
+        result = runner.invoke(
+            main, ["core", "--model", "ft_m2w", "--instance", inst_path, "--matching", matching]
+        )
+        assert result.exit_code == 0
+        assert "core-valid: yes (u=[1.7e+308, 1.7e+308], v=[1.7e+308, 1.7e+308])" in result.output
+
 
 class TestHygiene:
     def test_inputs_never_modified(self, runner, boxed_file, tmp_path):
@@ -355,3 +385,86 @@ class TestHygiene:
         assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
         assert result.stderr.startswith("error: MATCHKIT_EPS")
         assert "Traceback" not in result.output
+
+
+# Finite values at the edges of what floats carry, values that JSON
+# carries but floats do not, and junk in place of numbers, rows and fields.
+FINITE_EDGES = (
+    1e308, -1e308, 1.7e308, -1.7e308, 8.9e307, 2**53 + 1, -0.0, 0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e-10, 0.5, 1, -1,
+)
+finite = st.one_of(
+    st.sampled_from(FINITE_EDGES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**20), 10**20),
+)
+junk = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.text(max_size=3),
+        st.sampled_from([10**400, -(10**400), 2**1024, float("nan"), float("inf")]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=2)
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def adversarial_case(draw):
+    """One of the four deciding commands on n <= 3 JSON input; about
+    half the cases break one field or one entry."""
+    n = draw(st.integers(1, 3))
+    broken = draw(st.sampled_from(
+        [None] * 5 + ["n", "theta_m", "theta_w", "beta", "assignment", "entry"]
+    ))
+
+    def field(name, valid):
+        return draw(junk if name == broken else valid)
+
+    def table(entry):
+        return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+    entry = st.one_of(finite, junk) if broken == "entry" else finite
+    inst = {
+        "n": field("n", st.just(n)),
+        "theta_m": field("theta_m", table(entry)),
+        "theta_w": field("theta_w", table(finite)),
+    }
+    if draw(st.booleans()):
+        beta = st.one_of(st.sampled_from([0.5, 1.0, 5e-324, 0.0, 2.0]), finite)
+        inst["beta"] = field("beta", table(beta))
+    matching = field(
+        "assignment", st.permutations(range(n)).map(lambda a: {"assignment": list(a)})
+    )
+    command = draw(st.sampled_from(["solve nt", "solve ft", "check", "core"]))
+    if command == "check":
+        extra = ["--p", draw(st.sampled_from(["0", "0.5", "1"])),
+                 "--q", draw(st.sampled_from(["0", "0.5", "1"]))]
+    elif command == "core":
+        extra = ["--model", draw(st.sampled_from(["fnt", "ft", "ft_nonneg", "ft_m2w", "ft_taxed"]))]
+    else:
+        extra = []
+    return command, json.dumps(inst), json.dumps(matching), extra
+
+
+class TestAdversarialJson:
+    @given(adversarial_case())
+    @settings(max_examples=150, deadline=None)
+    def test_answer_or_clean_error(self, case):
+        command, inst_text, matching_text, extra = case
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            Path("inst.json").write_text(inst_text)
+            Path("match.json").write_text(matching_text)
+            args = command.split() + ["--instance", "inst.json"]
+            if command in ("check", "core"):
+                args += ["--matching", "match.json"]
+            result = runner.invoke(main, args + extra)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            repr(result.exception)
+        )
+        assert "Traceback" not in result.output
+        assert result.exit_code in (0, 1, 2, 3)
+        if result.exit_code == 1:
+            assert {"stable: no", "core-valid: no"} & set(result.stdout.splitlines())

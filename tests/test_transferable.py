@@ -10,6 +10,7 @@ from matchkit import (
     CutVector,
     IntegerRange,
     Matching,
+    MatchkitError,
     NotCyclicallyMonotoneError,
     PreconditionError,
     bruteforce_max_matching,
@@ -207,6 +208,28 @@ class TestDualCuts:
                 if i != j:
                     assert cuts.u[i] + cuts.v[j] > theta[i][j] + EPS
 
+    def test_no_detector_call_on_an_optimal_matching(self, monkeypatch):
+        inst = random_instance(30, derive_seed(32, 0))
+        theta = combined_rewards(inst)
+        matching, _ = optimal_assignment(theta)
+        calls = {"detector": 0, "relaxation": 0}
+
+        def count(name, inner):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return counting
+
+        monkeypatch.setattr(
+            transferable, "find_positive_cycle", count("detector", find_positive_cycle)
+        )
+        monkeypatch.setattr(
+            transferable, "_chain_distances", count("relaxation", transferable._chain_distances)
+        )
+        dual_cuts(theta, matching)
+        assert calls == {"detector": 0, "relaxation": 1}
+
     def test_rejects_blocked_matching(self, identity2):
         with pytest.raises(NotCyclicallyMonotoneError):
             dual_cuts(BOXED_THETA, identity2)
@@ -243,6 +266,31 @@ def gauss_seidel_potentials(theta, matching):
     return None
 
 
+def reference_dual_cuts(theta, matching, eps):
+    """Reference: the composition dual_cuts used to run, with the cycle
+    detector deciding first and the chain potentials only building."""
+    witness = is_cyclically_monotone(theta, matching, eps=eps)
+    if witness is not True:
+        raise NotCyclicallyMonotoneError(
+            f"matching admits blocking chain {witness.cycle} with gain {witness.gain}"
+        )
+    u_raw = chain_potentials(theta, matching)
+    anchor = min(u_raw)
+    u = [x - anchor for x in u_raw]
+    v = [0.0] * len(theta)
+    for i, woman in enumerate(matching.assignment):
+        v[woman] = theta[i][woman] - u[i]
+    return CutVector(tuple(u), tuple(v))
+
+
+def cut_outcome(build, theta, matching, eps):
+    """The cuts, or the type and text of the error raised instead."""
+    try:
+        return build(theta, matching, eps=eps)
+    except MatchkitError as exc:
+        return type(exc).__name__, str(exc)
+
+
 def _potentials_corpus():
     """Seeded (label, theta, matching) cases: optimal matchings on
     tie-free, tied and 1e8-scaled rewards, plus random matchings, most of
@@ -275,6 +323,31 @@ class TestChainPotentialsReference:
             else:
                 assert chain_potentials(theta, matching) == expected, label
         assert diverged > 0
+
+    @pytest.mark.parametrize("eps", [EPS, 0.0])
+    def test_dual_cuts_equal_to_reference_composition(self, eps):
+        certified = set()
+        for label, theta, matching in _potentials_corpus():
+            got = cut_outcome(dual_cuts, theta, matching, eps)
+            assert got == cut_outcome(reference_dual_cuts, theta, matching, eps), label
+            certified.add(isinstance(got, CutVector))
+        assert certified == {True, False}
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            # the potentials overflow to -inf, where a pass changes nothing
+            ((0.0, -1.0), (1e308, 0.0)),
+            # the unit gain is lost in rounding next to 1e308 and the
+            # relaxation settles on cuts that leave pair (0, 1) short
+            ((0.0, 1.0), (-1e308, -1e308)),
+        ],
+    )
+    def test_settled_relaxation_still_names_the_witness(self, theta):
+        matching = Matching((0, 1))
+        expected = cut_outcome(reference_dual_cuts, theta, matching, EPS)
+        assert expected[1].startswith("matching admits blocking chain (0, 1)")
+        assert cut_outcome(dual_cuts, theta, matching, EPS) == expected
 
     def test_sub_eps_chain_diverges(self):
         # a 5e-10 blocking chain hides under eps but not from the potentials
