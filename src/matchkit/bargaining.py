@@ -19,6 +19,7 @@ of the same floats' exact values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,9 +144,13 @@ def _corner_level(model: BargainingModel, inst: Instance, i: int, j: int) -> flo
     """Largest c with (c, c) guaranteed inside F(i, j).
 
     Every half-plane has cu + cv >= 1, so (c, c) meets it exactly when
-    c <= rhs / (cu + cv).
+    c <= rhs / (cu + cv).  A table that leaves the float range (a
+    subnormal beta, or rewards near the limit) is divided exactly.
     """
-    return min(rhs / (cu + cv) for cu, cv, rhs in _halfplanes(model, inst, i, j))
+    rows = _halfplanes(model, inst, i, j)
+    if not all(math.isfinite(x) for row in rows for x in row):
+        rows = _halfplanes(model, inst, i, j, Fraction)
+    return float(min(rhs / (cu + cv) for cu, cv, rhs in rows))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,9 @@ exactly when the matching maximizes total reward.  The supporting cut
 vector comes from shortest-path potentials over the chain graph and
 certifies stability: matched pairs split their reward exactly, and no
 other pair's reward exceeds the sum of its two cuts.  Those potentials
-settle exactly when no blocking chain exists, so the relaxation that
-builds the cuts is itself the stability check; the cycle detector runs
-only to name a witness chain when the relaxation does not settle or
-its cuts fall short.
+settle exactly when no blocking chain exists, so they decide stability;
+the cycle detector runs only to name a witness, or where rounding could
+hide a chain.
 """
 
 from __future__ import annotations
@@ -224,12 +223,11 @@ def dual_cuts(
     satisfies u[i] + v[j] >= theta[i][j] for every pair, with equality
     on matched pairs.
 
-    The relaxation is the stability check: it settles exactly when no
-    chain gains, and its cuts are accepted once they cover every pair
-    to within eps/n, which bounds every cycle's gain by eps.  Only when
-    that fails does the cycle detector run, to name a witness chain
-    gaining more than ``eps``; without one, an unsettled relaxation is
-    reported as divergence and a settled one's cuts are returned.
+    The relaxation is the stability check: when it settled and its cuts
+    bound, rounding included, every chain gain the cycle detector could
+    compute by ``eps``, they are returned.  Otherwise the detector runs
+    to name a witness chain; without one, an unsettled relaxation is
+    reported as divergence.  Large rewards or ``eps`` = 0 always run it.
     """
     mat = _as_square(theta)
     _check_sizes(mat, matching)
@@ -243,11 +241,18 @@ def dual_cuts(
     for i in range(n):
         woman = matching.assignment[i]
         v[woman] = mat[i][woman] - u[i]
-    # Overflow, or rounding between rewards far apart in magnitude, can
-    # settle the relaxation on potentials that no longer cover a pair.
+    # With s = u + v - theta, a chain's gain telescopes to the sum over its
+    # couples of s(own pair) - s(pair taken).  Own slacks are within one
+    # rounding of size = max|theta| + max|u| + max|v| of zero, computed
+    # slacks within three of exact, and the detector's float sums of up to
+    # n hops within 2 n^2 roundings of the widest row range: so no chain
+    # the detector computes gains more than n * (margin - min slack).
+    unit = np.finfo(float).eps / 2
     with np.errstate(over="ignore", invalid="ignore"):
-        certified = settled and bool((np.add.outer(u, v) >= arr - eps / n).all())
-    if not certified:
+        size = np.abs(arr).max() + np.abs(u).max() + np.abs(v).max()
+        margin = unit * (4 * size + 2 * n * np.ptp(arr, axis=1).max())
+        bound = n * (margin - (np.add.outer(u, v) - arr).min()) * (1 + 8 * unit)
+    if not (settled and bound <= eps):
         witness = is_cyclically_monotone(mat, matching, eps=eps)
         if witness is not True:
             raise NotCyclicallyMonotoneError(

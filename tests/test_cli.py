@@ -76,6 +76,17 @@ class TestSolve:
         assert "total value: inf" in result.output
         assert "core audit: ok" in result.output
 
+    def test_ft_chain_hidden_by_rounding_exit_2(self, runner, tmp_path):
+        # Both totals round to 8.9e307, so the optimal solve keeps the
+        # identity, which the chain (0, 1) beats by 1.
+        inst = Instance(2, ((8.9e307, 8.9e307), (0.0, -1.0)), ((0.0, 0.0), (0.0, 0.0)))
+        path = tmp_path / "hidden.json"
+        path.write_text(serialize_instance(inst))
+        result = runner.invoke(main, ["solve", "ft", "--instance", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: matching admits blocking chain (0, 1) with gain 1.0\n"
+        assert "core audit" not in result.output
+
     def test_out_writes_matching(self, runner, boxed_file, tmp_path):
         out = tmp_path / "m.json"
         result = runner.invoke(

@@ -195,6 +195,16 @@ class TestAssumptionAudit:
             report = check_assumption(model, inst, 1500, seed=31)
             assert report.ok, report.violations
 
+    def test_subnormal_beta_corner_level_is_finite(self):
+        # 1/beta overflows to inf; the corner level (beta*tm + tw)/(1 + beta)
+        # is then tw to the last bit, capped by tm.
+        inst = random_instance(2, 5)
+        model = BargainingModel("ft_taxed", ((5e-324, 5e-324), (5e-324, 5e-324)))
+        report = check_assumption(model, inst, 50, seed=3)
+        assert report.c2 == min(
+            min(inst.theta_m[i][j], inst.theta_w[i][j]) for i in range(2) for j in range(2)
+        )
+
 
 class TestCorePoint:
     def test_fnt_canonical_boxed(self, boxed, identity2):

@@ -291,6 +291,13 @@ def cut_outcome(build, theta, matching, eps):
         return type(exc).__name__, str(exc)
 
 
+# Rewards where rounding swallows unit and sub-eps gains.
+NEAR_LIMIT = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-10, 5e-10, 1.0, -1.0,
+    1e308, -1e308, 1.7e308, -1.7e308, 8.9e307,
+)
+
+
 def _potentials_corpus():
     """Seeded (label, theta, matching) cases: optimal matchings on
     tie-free, tied and 1e8-scaled rewards, plus random matchings, most of
@@ -334,20 +341,52 @@ class TestChainPotentialsReference:
         assert certified == {True, False}
 
     @pytest.mark.parametrize(
-        "theta",
+        "theta, assignment, eps, chain",
         [
             # the potentials overflow to -inf, where a pass changes nothing
-            ((0.0, -1.0), (1e308, 0.0)),
+            (((0.0, -1.0), (1e308, 0.0)), (0, 1), EPS, (0, 1)),
             # the unit gain is lost in rounding next to 1e308 and the
             # relaxation settles on cuts that leave pair (0, 1) short
-            ((0.0, 1.0), (-1e308, -1e308)),
+            (((0.0, 1.0), (-1e308, -1e308)), (0, 1), EPS, (0, 1)),
+            # the relaxation settles and its float cuts cover every pair,
+            # but rounding near the float limit hides the gain from both
+            (((8.9e307, 8.9e307), (0.0, -1.0)), (0, 1), 0.0, (0, 1)),
+            (
+                ((-5e-324, 1.7e308, 1.7e308), (-1.0, -1.0, 5e-324), (-5e-324, -0.0, 5e-10)),
+                (2, 0, 1),
+                EPS,
+                (0, 2, 1),
+            ),
+            (((-5e-324, -0.0), (1.7e308, 1.7e308)), (0, 1), 0.0, (0, 1)),
         ],
     )
-    def test_settled_relaxation_still_names_the_witness(self, theta):
-        matching = Matching((0, 1))
-        expected = cut_outcome(reference_dual_cuts, theta, matching, EPS)
-        assert expected[1].startswith("matching admits blocking chain (0, 1)")
-        assert cut_outcome(dual_cuts, theta, matching, EPS) == expected
+    def test_settled_relaxation_still_names_the_witness(self, theta, assignment, eps, chain):
+        matching = Matching(assignment)
+        expected = cut_outcome(reference_dual_cuts, theta, matching, eps)
+        assert expected[1].startswith(f"matching admits blocking chain {chain}")
+        assert cut_outcome(dual_cuts, theta, matching, eps) == expected
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.sampled_from(NEAR_LIMIT), min_size=n, max_size=n),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.permutations(range(n)),
+                st.sampled_from([EPS, 0.0]),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dual_cuts_equal_to_reference_near_the_float_limit(self, case):
+        rows, assignment, eps = case
+        theta = tuple(tuple(row) for row in rows)
+        matching = Matching(tuple(assignment))
+        assert cut_outcome(dual_cuts, theta, matching, eps) == cut_outcome(
+            reference_dual_cuts, theta, matching, eps
+        )
 
     def test_sub_eps_chain_diverges(self):
         # a 5e-10 blocking chain hides under eps but not from the potentials
