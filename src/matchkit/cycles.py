@@ -141,7 +141,8 @@ def relax_potentials(cost: np.ndarray, max_passes: int) -> tuple[np.ndarray, boo
     False when relaxation was still improving (a negative cycle, or one
     lost in rounding).  ``dist`` is the last iterate either way, so
     callers that tolerate rounding-level negative cycles get potentials
-    that are feasible up to that rounding.
+    that are feasible up to that rounding.  A pass leaves -inf and nan
+    in place, so potentials that left the float range can settle too.
     """
     dist = np.zeros(cost.shape[0])
     for _ in range(max_passes):

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import permutations
+from typing import Callable, Iterator
 
 from .errors import (
     DimensionMismatchError,
@@ -159,6 +161,33 @@ class Matching:
     def inverse(self) -> tuple[int, ...]:
         """inverse[j] = the man matched to woman j."""
         return self._inverse
+
+
+def _lex_search(
+    n: int, admits: Callable[[tuple[int, ...]], bool], depth: int
+) -> Iterator[tuple[int, ...]]:
+    """Every assignment of n men, in lexicographic order, that extends no
+    prefix ``admits`` rejects.
+
+    Depth first: man k is placed after men 0..k-1, trying the free women
+    in ascending index.  ``admits`` is asked about each prefix of 2 to
+    ``depth`` couples (one couple alone never blocks); longer prefixes
+    are not checked.
+    """
+
+    def extend(prefix: tuple[int, ...], rest: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if len(prefix) >= depth:
+            for tail in permutations(rest):
+                yield prefix + tail
+            return
+        for i, w in enumerate(rest):
+            grown = prefix + (w,)
+            if len(grown) < 2 or admits(grown):
+                yield from extend(grown, rest[:i] + rest[i + 1 :])
+
+    if depth < 2:
+        return permutations(range(n))
+    return extend((), tuple(range(n)))
 
 
 @dataclass(frozen=True)

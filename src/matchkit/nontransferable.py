@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
-from .instances import Instance, Matching, preference_orders
+from .instances import Instance, Matching, _lex_search, preference_orders
 from .tolerance import DEFAULT_EPS
 
 ENUMERATION_LIMIT = 8
@@ -32,21 +31,26 @@ def find_fnt_blocking_pairs(
     """
     _require_same_size(inst, matching)
     n = inst.n
-    theta_m, theta_w = inst.theta_m, inst.theta_w
-    inverse = matching.inverse
-    blocking: list[tuple[int, int]] = []
-    for i in range(n):
-        wi = matching.assignment[i]
-        own = theta_m[i][wi]
-        row = theta_m[i]
-        for j in range(n):
-            if j == wi:
-                continue
-            if row[j] - own <= eps:
-                continue
-            if theta_w[i][j] - theta_w[inverse[j]][j] > eps:
-                blocking.append((i, j))
-    return blocking
+    assignment, inverse = matching.assignment, matching.inverse
+    return [
+        (i, j)
+        for i in range(n)
+        for j in _blocking_women(inst, i, assignment[i], range(n), inverse, eps)
+    ]
+
+
+def _blocking_women(inst: Instance, i: int, wi: int, women, husbands, eps: float) -> list[int]:
+    """The women j among ``women`` who block with man i: he, married to
+    woman wi, and she, married to the matching entry of ``husbands``,
+    both gain more than eps by marrying each other.  His own wife never
+    blocks."""
+    row_m, row_w, theta_w = inst.theta_m[i], inst.theta_w[i], inst.theta_w
+    own = row_m[wi]
+    return [
+        j
+        for j, mj in zip(women, husbands)
+        if row_m[j] - own > eps and row_w[j] - theta_w[mj][j] > eps and j != wi
+    ]
 
 
 @dataclass(frozen=True)
@@ -111,37 +115,27 @@ def gale_shapley(inst: Instance, proposer: str = "men") -> Matching:
     return gale_shapley_detailed(inst, proposer).matching
 
 
-def _is_stable_assignment(inst: Instance, assignment, inverse, eps: float) -> bool:
-    n = inst.n
-    theta_m, theta_w = inst.theta_m, inst.theta_w
-    for i in range(n):
-        wi = assignment[i]
-        own = theta_m[i][wi]
-        row = theta_m[i]
-        for j in range(n):
-            if j == wi:
-                continue
-            if row[j] - own > eps and theta_w[i][j] - theta_w[inverse[j]][j] > eps:
-                return False
-    return True
-
-
 def enumerate_fnt_stable(inst: Instance, *, eps: float = DEFAULT_EPS) -> list[Matching]:
-    """Every stable matching, by brute force; sorted lexicographically.
+    """Every stable matching, exhaustively; sorted lexicographically.
 
-    Guarded to n <= 8 (n! candidate matchings).
+    A depth-first search over partial matchings places men in order and
+    tries women in ascending index.  Placing man k with woman w settles
+    exactly the pairs of man k with the placed women and of woman w with
+    the placed men, since a pair blocks by its two partners alone; a
+    blocking one cuts every completion.  Guarded to n <= 8.
     """
     n = inst.n
     if n > ENUMERATION_LIMIT:
         raise SizeLimitError(f"stable-set enumeration limited to n <= {ENUMERATION_LIMIT}, got {n}")
-    stable = []
-    inverse = [0] * n
-    for perm in permutations(range(n)):
-        for man, woman in enumerate(perm):
-            inverse[woman] = man
-        if _is_stable_assignment(inst, perm, inverse, eps):
-            stable.append(Matching(perm))
-    return stable
+
+    def admits(prefix: tuple[int, ...]) -> bool:
+        k = len(prefix) - 1
+        wk = prefix[k]
+        return not _blocking_women(inst, k, wk, prefix[:k], range(k), eps) and not any(
+            _blocking_women(inst, i, prefix[i], (wk,), (k,), eps) for i in range(k)
+        )
+
+    return [Matching(a) for a in _lex_search(n, admits, n)]
 
 
 @dataclass(frozen=True)

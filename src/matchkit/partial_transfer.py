@@ -9,7 +9,7 @@ activates exactly when winners can cover the p-fraction of the losers'
 losses.  Stability means no chain activates.
 
 The existence question over the (p, q) square is probed empirically by
-a seeded plane sweep backed by the brute-force oracle, with a known
+a seeded plane sweep backed by the exact existence oracle, with a known
 two-couple family that has no stable matching whenever q exceeds p.
 """
 
@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Union
 
 from .cycles import find_positive_cycle
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
-from .instances import Instance, Matching, PQParams, random_instance
+from .instances import Instance, Matching, PQParams, _lex_search, random_instance
 from .rng import SplitMix64, Uniform01, derive_seed
 from .tolerance import DEFAULT_EPS
 
@@ -90,8 +89,9 @@ class PQChainWitness:
 
 def _pq_weights(inst: Instance, assignment, p: float, q: float) -> list[list[float]]:
     """weights[a][b]: the p-clipped delta_q of couple a's man courting
-    couple b's woman; zero on the diagonal."""
-    n = inst.n
+    couple b's woman; zero on the diagonal.  ``assignment`` may be a
+    prefix: its couples get the weights a full matching gives them."""
+    n = len(assignment)
     theta_m, theta_w = inst.theta_m, inst.theta_w
     own_w = [theta_w[b][assignment[b]] for b in range(n)]
     weights = [[0.0] * n for _ in range(n)]
@@ -106,7 +106,9 @@ def _pq_weights(inst: Instance, assignment, p: float, q: float) -> list[list[flo
             wb = assignment[b]
             ga = row_m[wb] - base_m
             gb = row_w[wb] - own_w[b]
-            d = min(q * ga + gb, q * gb + ga)
+            x = q * ga + gb
+            y = q * gb + ga
+            d = y if y < x else x  # min(x, y), without the call
             row[b] = d if d >= 0.0 else p * d
     return weights
 
@@ -134,17 +136,37 @@ def find_pq_blocking_chain(
 def exists_pq_stable(
     inst: Instance, pq: PQParams, *, eps: float = DEFAULT_EPS
 ) -> Matching | None:
-    """Brute-force existence oracle over all n! matchings.
+    """The lexicographically first stable matching, or None.  Guarded to n <= 8.
 
-    Returns the lexicographically first stable matching, or None.
-    Guarded to n <= 8.
+    Complete matchings are visited depth first in lexicographic order
+    and the first one the detector passes is returned, as a scan of all
+    n! would.  The weight between two couples depends only on their own
+    partners, so a blocking cycle among the first 2 to n - 2 couples
+    blocks every completion and cuts them, when its gain clears eps by
+    more than the detector's rounding on a full matching.
     """
     n = inst.n
     if n > ORACLE_LIMIT:
         raise SizeLimitError(f"existence oracle limited to n <= {ORACLE_LIMIT}, got {n}")
-    for perm in permutations(range(n)):
-        if find_positive_cycle(_pq_weights(inst, perm, pq.p, pq.q), eps) is None:
-            return Matching(perm)
+    p, q = pq.p, pq.q
+    # On a full matching the detector's Bellman-Ford distances stay within
+    # (n + 2)**2 * big, big bounding every weight plus eps, so its rounding
+    # hides less than ``slack`` of a cycle's gain: a cycle beating eps +
+    # slack keeps it from settling, and its exhaustive fallback then
+    # reports that cycle.  An overflow makes slack inf and cuts nothing.
+    slack = 0.0  # prefixes are checked from n = 4 up
+    if n >= 4:
+        rows = inst.theta_m + inst.theta_w
+        big = eps + 4.0 * (max(map(max, rows)) - min(map(min, rows)))
+        slack = 2 * n * 2.0**-53 * ((n + 2) ** 2 * big)
+
+    def admits(prefix: tuple[int, ...]) -> bool:
+        found = find_positive_cycle(_pq_weights(inst, prefix, p, q), eps)
+        return found is None or found[1] <= eps + slack
+
+    for leaf in _lex_search(n, admits, n - 2):
+        if find_positive_cycle(_pq_weights(inst, leaf, p, q), eps) is None:
+            return Matching(leaf)
     return None
 
 
@@ -199,7 +221,7 @@ def pq_plane_sweep(
     """Empirical existence map on a uniform (p, q) grid.
 
     For each cell, ``gen(p, q, trial)`` supplies the instance (n <= 6)
-    and the brute-force oracle decides existence.  Cells are independent
+    and the existence oracle decides existence.  Cells are independent
     work units; results are identical to sequential execution.
     """
     if grid_steps < 2:

@@ -24,6 +24,7 @@ from scipy.optimize import linear_sum_assignment
 from .cycles import find_positive_cycle, relax_potentials
 from .errors import (
     DimensionMismatchError,
+    NonFiniteEntryError,
     NotCyclicallyMonotoneError,
     PreconditionError,
 )
@@ -201,7 +202,10 @@ def chain_potentials(theta: Sequence[Sequence[float]], matching: Matching) -> li
     theta[t][woman of s].  These hop costs have the same cycle sums as
     the blocking-chain gains, so absence of blocking chains keeps every
     value finite; the resulting potentials dominate every pair's reward
-    split, which the departure-oriented hop costs would not.
+    split, which the departure-oriented hop costs would not.  Raises
+    NotCyclicallyMonotoneError when the relaxation does not settle, and
+    NonFiniteEntryError, naming the entry as CutVector would, when it
+    settles on a potential beyond the float range.
     """
     mat = _as_square(theta)
     _check_sizes(mat, matching)
@@ -210,6 +214,9 @@ def chain_potentials(theta: Sequence[Sequence[float]], matching: Matching) -> li
     dist, settled = _chain_distances(arr, np.asarray(matching.assignment), 4 * n)
     if not settled:
         raise NotCyclicallyMonotoneError(_DIVERGED)
+    lost = np.flatnonzero(~np.isfinite(dist))
+    if lost.size:
+        raise NonFiniteEntryError(f"u[{lost[0]}] is not finite")
     return (-dist).tolist()
 
 

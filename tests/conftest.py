@@ -54,3 +54,14 @@ def seeded_permutation(n: int, rng: SplitMix64) -> tuple[int, ...]:
 def random_matchings(n: int, count: int, seed: int) -> list[Matching]:
     rng = SplitMix64(seed)
     return [Matching(seeded_permutation(n, rng)) for _ in range(count)]
+
+
+def near_indifferent_instance(n, seed):
+    """Every reward 1 plus a few multiples of eps / 2: gains land on both
+    sides of the tolerance and on its rounding knife edge."""
+    rng = SplitMix64(seed)
+
+    def table():
+        return tuple(tuple(1.0 + rng.randint(-3, 3) * 5e-10 for _ in range(n)) for _ in range(n))
+
+    return Instance(n, table(), table())

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from matchkit import (
     IntegerRange,
     Matching,
     SizeLimitError,
+    Uniform01,
     derive_seed,
     enumerate_fnt_stable,
     find_fnt_blocking_pairs,
@@ -17,7 +20,55 @@ from matchkit import (
     verify_men_optimality,
 )
 
-from conftest import corpus_instance
+from conftest import corpus_instance, near_indifferent_instance, random_matchings
+
+EPS = 1e-9
+
+
+def reference_blocking_pairs(inst, assignment, eps=EPS):
+    """Reference: the blocking-pair loop the shared predicate replaced."""
+    n = inst.n
+    theta_m, theta_w = inst.theta_m, inst.theta_w
+    inverse = [0] * n
+    for man, woman in enumerate(assignment):
+        inverse[woman] = man
+    blocking = []
+    for i in range(n):
+        wi = assignment[i]
+        own = theta_m[i][wi]
+        row = theta_m[i]
+        for j in range(n):
+            if j == wi:
+                continue
+            if row[j] - own <= eps:
+                continue
+            if theta_w[i][j] - theta_w[inverse[j]][j] > eps:
+                blocking.append((i, j))
+    return blocking
+
+
+def scan_fnt_stable(inst, eps=EPS):
+    """Reference: the n! scan the stable-set enumeration replaced."""
+    return [
+        perm
+        for perm in permutations(range(inst.n))
+        if not reference_blocking_pairs(inst, perm, eps)
+    ]
+
+
+def enumeration_corpus():
+    """(label, instance) cases: n = 1-7, tie-free and tied, one tie-free
+    n = 8, and near-indifferent tables."""
+    for n in range(1, 8):
+        for seed in range(6):
+            for tag, dist in (("uniform", Uniform01()), ("int:0:2", IntegerRange(0, 2))):
+                yield f"{tag} n={n} seed={seed}", random_instance(n, derive_seed(70, n, seed), dist)
+    yield "uniform n=8 seed=0", random_instance(8, derive_seed(70, 8, 0))
+    for n in range(2, 8):
+        for seed in range(3):
+            yield f"near-indifferent n={n} seed={seed}", near_indifferent_instance(
+                n, derive_seed(71, n, seed)
+            )
 
 
 class TestBlockingPairs:
@@ -27,6 +78,13 @@ class TestBlockingPairs:
     def test_boxed_swap_blocked_by_first_couple(self, boxed, swap2):
         # man 0 and woman 0 both gain exactly 1 by reuniting
         assert find_fnt_blocking_pairs(boxed, swap2) == [(0, 0)]
+
+    @pytest.mark.parametrize("eps", [EPS, 0.0, -1.0])
+    def test_equal_to_reference_loop(self, eps):
+        for label, inst in enumeration_corpus():
+            for matching in random_matchings(inst.n, 3, derive_seed(72, inst.n)):
+                expected = reference_blocking_pairs(inst, matching.assignment, eps)
+                assert find_fnt_blocking_pairs(inst, matching, eps=eps) == expected, label
 
     def test_single_couple_never_blocks(self):
         inst = Instance(1, ((4,),), ((7,),))
@@ -105,6 +163,34 @@ class TestEnumeration:
         inst = random_instance(9, 0)
         with pytest.raises(SizeLimitError):
             enumerate_fnt_stable(inst)
+
+    @pytest.mark.parametrize("eps", [EPS, 0.0])
+    def test_equal_to_scan(self, eps):
+        sizes = set()
+        for label, inst in enumeration_corpus():
+            stable = [m.assignment for m in enumerate_fnt_stable(inst, eps=eps)]
+            assert stable == scan_fnt_stable(inst, eps), label
+            sizes.add(min(len(stable), 2))
+        assert sizes == {1, 2}  # deferred acceptance keeps the set non-empty
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(st.integers(0, 2), st.floats(-1, 1, allow_subnormal=False)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=2 * n,
+                max_size=2 * n,
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_scan_property(self, rows):
+        n = len(rows) // 2
+        inst = Instance(n, rows[:n], rows[n:])
+        assert [m.assignment for m in enumerate_fnt_stable(inst)] == scan_fnt_stable(inst)
 
     def test_gs_always_among_stable(self):
         for seed in range(30):

@@ -1,10 +1,15 @@
+from itertools import permutations
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchkit.partial_transfer as partial_transfer
 from matchkit import (
     DomainError,
     Instance,
+    IntegerRange,
     Matching,
     PQParams,
     SizeLimitError,
@@ -23,13 +28,89 @@ from matchkit import (
     pq_plane_sweep,
     random_instance,
 )
-from matchkit.cycles import best_cycle_bruteforce
-from matchkit.rng import SplitMix64
+from matchkit.cycles import best_cycle_bruteforce, find_positive_cycle
+from matchkit.partial_transfer import _pq_weights
+from matchkit.rng import SplitMix64, Uniform01
 
-from conftest import corpus_instance, random_matchings
+from conftest import corpus_instance, near_indifferent_instance, random_matchings
 
 EPS = 1e-9
 GRID5 = [k / 4 for k in range(5)]
+CELLS = [(0.0, 1.0), (0.2, 0.6), (1.0, 0.0), (0.5, 0.5), (0.0, 0.0), (1.0, 1.0), (0.3, 0.9)]
+
+
+def scan_exists_pq_stable(inst, pq, eps=EPS):
+    """Reference: the n! scan the existence oracle replaced.  Returns the
+    first matching, in lexicographic order, that the detector passes,
+    and the number of detector calls it took."""
+    for calls, perm in enumerate(permutations(range(inst.n)), 1):
+        if find_positive_cycle(_pq_weights(inst, perm, pq.p, pq.q), eps) is None:
+            return perm, calls
+    return None, factorial(inst.n)
+
+
+def assignment_of(found):
+    return None if found is None else found.assignment
+
+
+def mixed_magnitude_instance(n, seed):
+    """Rewards mixing +-1e8 to 1e9 with gains of a few eps: the detector's
+    rounding on a full matching can hide a small cycle that a prefix of
+    it shows."""
+    values = (0.0, 1e-9, 2e-9, 3e-9, 5e-9, -2e-9, 1.0, -1.0, 1e8, -1e8, 2e8, 1e9, -1e9)
+    rng = SplitMix64(seed)
+
+    def table():
+        return tuple(
+            tuple(values[rng.randint(0, len(values) - 1)] for _ in range(n)) for _ in range(n)
+        )
+
+    return Instance(n, table(), table())
+
+
+def embedded_counterexample(n, p, q, seed):
+    """A random instance whose first two couples hold the two-couple
+    family with no (p, q)-stable matching."""
+    base = random_instance(n, seed)
+    block = counterexample_instance(p, q).theta_m
+
+    def embed(table):
+        return tuple(
+            tuple(block[i][j] if i < 2 and j < 2 else x for j, x in enumerate(row))
+            for i, row in enumerate(table)
+        )
+
+    return Instance(n, embed(base.theta_m), embed(base.theta_w))
+
+
+def oracle_corpus():
+    """(label, instance, cell) cases for the existence oracle."""
+    for n, seeds in ((1, 3), (2, 6), (3, 6), (4, 6), (5, 4), (6, 3), (7, 1)):
+        for seed in range(seeds):
+            for tag, dist in (("uniform", Uniform01()), ("int:0:2", IntegerRange(0, 2))):
+                inst = random_instance(n, derive_seed(60, n, seed), dist)
+                for cell in CELLS:
+                    yield f"{tag} n={n} seed={seed} {cell}", inst, cell
+    for n in range(2, 7):
+        for seed in range(3):
+            inst = near_indifferent_instance(n, derive_seed(61, n, seed))
+            for cell in CELLS:
+                yield f"near-indifferent n={n} seed={seed} {cell}", inst, cell
+    for seed in range(40):
+        n = (2, 3, 4, 5, 6)[seed % 5]
+        p = (0.0, 0.1, 0.2, 0.3)[seed % 4]
+        q = p + (0.2, 0.5, 0.7)[seed % 3]
+        if n == 2:
+            inst = counterexample_instance(p, q)
+        else:
+            inst = embedded_counterexample(n, p, q, derive_seed(62, seed))
+        for cell in ((p, q), (0.0, 1.0), (q, p)):
+            yield f"counterexample n={n} seed={seed} {cell}", inst, cell
+    for seed in range(40):
+        n = (4, 5)[seed % 2]
+        inst = mixed_magnitude_instance(n, derive_seed(63, seed))
+        for cell in ((1.0, 0.0), (0.5, 0.5), (0.0, 1.0), (0.0, 0.0), (1.0, 1.0)):
+            yield f"mixed-magnitude n={n} seed={seed} {cell}", inst, cell
 
 
 class TestClip:
@@ -147,6 +228,19 @@ class TestBlockingChain:
                     ]
                     assert all(y >= x - EPS for x, y in zip(scaled, scaled[1:]))
 
+    def test_weights_are_the_clipped_margins_bit_for_bit(self):
+        for label, inst, (p, q) in oracle_corpus():
+            matching = random_matchings(inst.n, 1, derive_seed(64, inst.n))[0]
+            weights = _pq_weights(inst, matching.assignment, p, q)
+            for a in range(inst.n):
+                for b in range(inst.n):
+                    expected = (
+                        clip_p(delta_q(inst, matching, a, matching.assignment[b], q), p)
+                        if a != b
+                        else 0.0
+                    )
+                    assert repr(weights[a][b]) == repr(expected), label
+
     @pytest.mark.parametrize("seed", range(15))
     def test_detector_vs_enumeration_on_grid(self, seed):
         n = (seed % 4) + 2
@@ -212,6 +306,90 @@ class TestExistenceOracle:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             exists_pq_stable(random_instance(9, 0), PQParams(0.5, 0.5))
+
+
+def counting_detector(monkeypatch):
+    """Count the oracle's find_positive_cycle calls."""
+    calls = []
+
+    def counted(weights, eps):
+        calls.append(len(weights))
+        return find_positive_cycle(weights, eps)
+
+    monkeypatch.setattr(partial_transfer, "find_positive_cycle", counted)
+    return calls
+
+
+class TestExistenceOracleAgainstScan:
+    def test_seeded_corpus(self):
+        found_some = found_none = 0
+        for label, inst, (p, q) in oracle_corpus():
+            expected, _ = scan_exists_pq_stable(inst, PQParams(p, q))
+            assert assignment_of(exists_pq_stable(inst, PQParams(p, q))) == expected, label
+            found_some += expected is not None
+            found_none += expected is None
+        assert found_some > 100 and found_none > 100
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(
+                        st.one_of(st.integers(0, 2), st.floats(-1, 1, allow_subnormal=False)),
+                        min_size=n,
+                        max_size=n,
+                    ),
+                    min_size=2 * n,
+                    max_size=2 * n,
+                ),
+                st.sampled_from(CELLS) | st.tuples(st.floats(0, 1), st.floats(0, 1)),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_scan(self, case):
+        rows, (p, q) = case
+        n = len(rows) // 2
+        inst = Instance(n, rows[:n], rows[n:])
+        expected, _ = scan_exists_pq_stable(inst, PQParams(p, q))
+        assert assignment_of(exists_pq_stable(inst, PQParams(p, q))) == expected
+
+    def test_cut_never_hides_a_matching_the_detector_passes(self):
+        # A prefix shows a 2e-9 cycle, but on the full matchings the
+        # detector's distances near 1e9 round it away.  A cut on the
+        # bare gain skips the scan's answer for a later matching.
+        theta_m = (
+            (-2e-9, 1e9, -1e9, 5e-9, 5e-9),
+            (2e-9, -1.0, 1e9, 2e-9, 0.0),
+            (1e-9, 3e-9, -1e9, 1.0, 3e-9),
+            (3e-9, 0.0, -1e8, 1e9, 2e-9),
+            (0.0, 0.0, -1e9, -2e-9, 1e-9),
+        )
+        theta_w = (
+            (0.0, 5e-9, 1e-9, -1e9, 5e-9),
+            (1e9, -1e9, -2e-9, 0.0, 1e9),
+            (1.0, 0.0, 3e-9, -1.0, 1.0),
+            (1e9, 0.0, 5e-9, -2e-9, 0.0),
+            (1e8, 1e-9, 1e9, 2e8, -1e9),
+        )
+        inst = Instance(5, theta_m, theta_w)
+        expected, _ = scan_exists_pq_stable(inst, PQParams(1.0, 0.0))
+        assert expected == (0, 3, 1, 4, 2)
+        assert exists_pq_stable(inst, PQParams(1.0, 0.0)).assignment == expected
+
+    def test_prunes_far_below_n_factorial(self, monkeypatch):
+        calls = counting_detector(monkeypatch)
+        assert exists_pq_stable(random_instance(8, 1), PQParams(0.0, 1.0)) is None
+        assert 0 < len(calls) < factorial(8) // 40
+
+    def test_small_sizes_call_the_detector_as_often_as_the_scan(self, monkeypatch):
+        calls = counting_detector(monkeypatch)
+        for label, inst, (p, q) in oracle_corpus():
+            if inst.n > 3:
+                continue
+            calls.clear()
+            exists_pq_stable(inst, PQParams(p, q))
+            assert len(calls) == scan_exists_pq_stable(inst, PQParams(p, q))[1], label
 
 
 class TestCounterexample:

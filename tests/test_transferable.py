@@ -11,6 +11,7 @@ from matchkit import (
     IntegerRange,
     Matching,
     MatchkitError,
+    NonFiniteEntryError,
     NotCyclicallyMonotoneError,
     PreconditionError,
     bruteforce_max_matching,
@@ -386,6 +387,24 @@ class TestChainPotentialsReference:
         matching = Matching(tuple(assignment))
         assert cut_outcome(dual_cuts, theta, matching, eps) == cut_outcome(
             reference_dual_cuts, theta, matching, eps
+        )
+
+    @pytest.mark.parametrize(
+        "theta, lost",
+        [
+            # a blocking chain whose potentials overflow to -inf, where a
+            # pass changes nothing
+            (((0.0, -1.0), (1e308, 0.0)), 0),
+            # no blocking chain, but the potentials need a spread of 3.4e308
+            (((-1.7e308, -1.7e308), (1.7e308, 1.7e308)), 1),
+        ],
+    )
+    def test_potentials_beyond_the_float_range_raise(self, theta, lost):
+        matching = Matching((0, 1))
+        with pytest.raises(NonFiniteEntryError, match=rf"^u\[{lost}\] is not finite$"):
+            chain_potentials(theta, matching)
+        assert cut_outcome(dual_cuts, theta, matching, EPS) == cut_outcome(
+            reference_dual_cuts, theta, matching, EPS
         )
 
     def test_sub_eps_chain_diverges(self):
