@@ -45,7 +45,9 @@ class BargainingModel:
     """One of the five built-in feasibility-set families.
 
     ``beta`` (transfer retention factors in (0, 1], entrywise) is
-    required for "ft_taxed" and must be absent otherwise.
+    required for "ft_taxed" and must be absent otherwise; an entry whose
+    reciprocal overflows (a subnormal beta) is rejected, since the taxed
+    half-plane u + v/beta <= tm + tw/beta has no float form there.
     """
 
     kind: str
@@ -62,6 +64,8 @@ class BargainingModel:
                 for c, x in enumerate(row):
                     if not 0.0 < x <= 1.0:
                         raise DomainError(f"beta[{r}][{c}]={x} must lie in (0, 1]")
+                    if math.isinf(1.0 / x):
+                        raise DomainError(f"beta[{r}][{c}]={x} is too small: 1/beta overflows")
             object.__setattr__(self, "beta", beta)
         elif self.beta is not None:
             raise DomainError(f'model "{self.kind}" does not take a beta matrix')
@@ -144,8 +148,9 @@ def _corner_level(model: BargainingModel, inst: Instance, i: int, j: int) -> flo
     """Largest c with (c, c) guaranteed inside F(i, j).
 
     Every half-plane has cu + cv >= 1, so (c, c) meets it exactly when
-    c <= rhs / (cu + cv).  A table that leaves the float range (a
-    subnormal beta, or rewards near the limit) is divided exactly.
+    c <= rhs / (cu + cv).  A table that leaves the float range (a tiny
+    beta against large rewards, or rewards near the limit) is divided
+    exactly.
     """
     rows = _halfplanes(model, inst, i, j)
     if not all(math.isfinite(x) for row in rows for x in row):

@@ -2,15 +2,38 @@
 
 Both the transferable-stability check and the partial-transfer chain
 check reduce to one question: does the complete digraph on couples
-contain a simple cycle whose weight sum exceeds the tolerance?
+contain a simple cycle whose weight sum, re-summed in floats from its
+smallest node, exceeds the tolerance eps?  ``find_positive_cycle``
+answers it in three stages.
 
-Detection negates the weights (minus a per-edge shift of eps/n, so a
-cycle of length k trips the detector exactly when its gain exceeds
-k*eps/n <= eps) and runs Bellman-Ford from all nodes at potential zero.
-Any candidate cycle recovered from the predecessor chain is re-checked
-against the raw weights before it is reported; if every candidate lands
-inside the sub-eps knife edge, small graphs fall back to exhaustive
-enumeration so the verdict matches the brute-force oracle exactly.
+1. Bellman-Ford.  The weights are negated minus a per-edge shift of
+   eps/n, so a k-hop cycle has negative cost exactly when its gain
+   exceeds k*eps/n <= eps, and relaxation runs in place from all nodes
+   at potential zero for at most n + 1 passes.  A pass that changes no
+   distance settles the question: no cycle beats eps (up to the
+   rounding of the distances, which callers bound).  A pass that changes
+   nothing while some distance is -inf settles nothing: -inf < -inf is
+   false, so an overflowed relaxation stops moving whether or not a
+   cycle gains.
+   After each pass that changes a distance, the predecessor graph (one
+   parent per node) is walked in O(n); if one of its cycles gains more
+   than eps, the best of them is returned at once (Cherkassky and
+   Goldberg, 1999, "Negative-cycle detection algorithms").
+2. Cycle cover.  If the passes end unsettled without such a cycle, the
+   shifted test saw a cycle gaining between k*eps/n and eps, or rounding
+   blurred one.  A simple cycle leaves each node once and enters it
+   once, so no cycle gains more than the smaller of the row-wise and
+   column-wise sums of positive maxima; when that bound, plus a gamma_2n
+   rounding allowance, is at most eps, no cycle's float re-sum can beat
+   eps and the answer is None.  Otherwise the maximum-weight cycle cover
+   (``linear_sum_assignment`` with a zero diagonal) is taken, and its
+   best cycle is returned if it gains more than eps.
+3. Enumeration.  Only when neither cover step decides do graphs of at
+   most 10 nodes fall back to ``best_cycle_bruteforce``, so the verdict
+   there matches the brute-force oracle.  Larger graphs report None in
+   that case: a cycle gaining more than eps can then still be missed,
+   when the cover splits the gain over cycles of at most eps each and
+   no predecessor graph ever held the winner.
 
 Shortest-path potentials (the dual cuts and the optimal-assignment
 tie-break) come from ``relax_potentials``, one vectorized all-sources
@@ -20,15 +43,20 @@ Bellman-Ford pass per round, which also reports whether it settled.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import inf
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import SizeLimitError
 
 _BRUTE_FORCE_LIMIT = 10
 
+_UNIT = 2.0**-53  # unit roundoff of a double
+
 WeightMatrix = Sequence[Sequence[float]]
+Found = tuple[tuple[int, ...], float]
 
 
 def _cycle_gain(weights: WeightMatrix, cycle: Sequence[int]) -> float:
@@ -45,72 +73,116 @@ def _canonical(cycle: Sequence[int]) -> tuple[int, ...]:
     return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
 
 
-def _cycle_from_predecessors(pred: list[int], start: int) -> tuple[int, ...] | None:
-    seen: dict[int, int] = {}
-    path: list[int] = []
-    node = start
-    while node != -1 and node not in seen:
-        seen[node] = len(path)
-        path.append(node)
-        node = pred[node]
-    if node == -1:
-        return None
-    loop = path[seen[node]:]
-    loop.reverse()  # predecessor edges point backwards
-    return tuple(loop)
-
-
-def find_positive_cycle(
-    weights: WeightMatrix, eps: float
-) -> tuple[tuple[int, ...], float] | None:
-    """Simple directed cycle with weight sum > eps, or None.
-
-    Returns (cycle, gain) with the cycle rotated to start at its
-    smallest node; consecutive entries (wrapping) are the edges.
-    """
-    n = len(weights)
-    if n < 2:
-        return None
-    shift = eps / n
-    cost = [[-(weights[a][b] - shift) for b in range(n)] for a in range(n)]
-    dist = [0.0] * n
-    pred = [-1] * n
-    touched: list[int] = []
-    for _ in range(n + 1):
-        touched = []
-        for a in range(n):
-            da = dist[a]
-            row = cost[a]
-            for b in range(n):
-                if a == b:
-                    continue
-                nd = da + row[b]
-                if nd < dist[b]:
-                    dist[b] = nd
-                    pred[b] = a
-                    touched.append(b)
-        if not touched:
-            return None  # converged: no cycle beats the shifted threshold
-    best: tuple[tuple[int, ...], float] | None = None
-    for cand in sorted(set(touched)):
-        cycle = _cycle_from_predecessors(pred, cand)
-        if cycle is None:
-            continue
-        gain = _cycle_gain(weights, cycle)
+def _best_of(
+    weights: WeightMatrix, cycles: list[list[int]], eps: float
+) -> Found | None:
+    """The first cycle of greatest gain above eps, summed from its smallest node."""
+    best: Found | None = None
+    for cycle in cycles:
+        canon = _canonical(cycle)
+        gain = _cycle_gain(weights, canon)
         if gain > eps and (best is None or gain > best[1]):
-            best = (_canonical(cycle), gain)
-    if best is not None:
-        return best
-    # Every recovered cycle sits within eps of zero; decide exactly while
-    # the graph is small enough to enumerate.
+            best = (canon, gain)
+    return best
+
+
+def _functional_cycles(step: Sequence[int]) -> list[list[int]]:
+    """Every cycle of the graph x -> step[x] (-1 ends a path), in O(n).
+
+    Each node has one successor, so each weak component holds at most
+    one cycle; the nodes are listed in the order the walk meets them.
+    """
+    n = len(step)
+    mark = [-1] * n
+    cycles = []
+    for start in range(n):
+        node = start
+        while node != -1 and mark[node] < 0:
+            mark[node] = start
+            node = step[node]
+        if node == -1 or mark[node] != start:
+            continue  # a dead end, or a walk that joined an earlier one
+        loop = [node]
+        nxt = step[node]
+        while nxt != node:
+            loop.append(nxt)
+            nxt = step[nxt]
+        cycles.append(loop)
+    return cycles
+
+
+def _cycle_cover(weights: WeightMatrix, eps: float) -> Found | None:
+    """Decide a graph the relaxation left unsettled with no parent cycle above eps."""
+    n = len(weights)
+    arr = np.array(weights, dtype=float)
+    np.fill_diagonal(arr, 0.0)
+    # Rounding is monotone, so a cycle's float sum is at most the float sum
+    # of its nodes' positive maxima: within gamma_{n-1} of the exact sum,
+    # itself within gamma_{n-1} of the computed bound, where gamma_k =
+    # k*u / (1 - k*u) (Higham, 2002, section 3.1).  Twice gamma_{2n} covers
+    # both and the last two roundings.
+    gamma = 2 * n * _UNIT / (1.0 - 2 * n * _UNIT)
+    positive = np.fmax(arr, 0.0)
+    with np.errstate(over="ignore"):
+        bound = min(positive.max(axis=1).sum(), positive.max(axis=0).sum())
+    if bound + 2.0 * gamma * bound <= eps:
+        return None
+    if np.isfinite(arr).all():
+        _, succ = linear_sum_assignment(arr, maximize=True)
+        step = [-1 if b == a else int(b) for a, b in enumerate(succ)]
+        found = _best_of(weights, _functional_cycles(step), eps)
+        if found is not None:
+            return found
     if n <= _BRUTE_FORCE_LIMIT:
         return best_cycle_bruteforce(weights, eps)
     return None
 
 
-def best_cycle_bruteforce(
-    weights: WeightMatrix, eps: float
-) -> tuple[tuple[int, ...], float] | None:
+def find_positive_cycle(weights: WeightMatrix, eps: float) -> Found | None:
+    """Simple directed cycle with weight sum > eps, or None.
+
+    Returns (cycle, gain) with the cycle rotated to start at its
+    smallest node; consecutive entries (wrapping) are the edges, and
+    gain is their float sum in that order.
+    """
+    n = len(weights)
+    if n < 2:
+        return None
+    shift = eps / n
+    cost = [[-(w - shift) for w in row] for row in weights]
+    for a in range(n):
+        cost[a][a] = inf  # no self-loops
+    dist = [0.0] * n
+    pred = [-1] * n
+    # Rescanning a row whose distance has not moved since its last scan
+    # changes nothing, so such rows are skipped: the passes still make
+    # exactly the relaxations of a full scan.
+    scanned = [inf] * n
+    for _ in range(n + 1):
+        changed = False
+        for a in range(n):
+            da = dist[a]
+            if da == scanned[a]:
+                continue
+            scanned[a] = da
+            for b, c in enumerate(cost[a]):
+                nd = da + c
+                if nd < dist[b]:
+                    dist[b] = nd
+                    pred[b] = a
+                    changed = True
+        if not changed:
+            if -inf in dist:
+                break  # overflowed: "settled" would hide the cycle behind it
+            return None  # converged: no cycle beats the shifted threshold
+        # Parent edges point backwards, so a parent cycle reversed runs forwards.
+        found = _best_of(weights, [c[::-1] for c in _functional_cycles(pred)], eps)
+        if found is not None:
+            return found
+    return _cycle_cover(weights, eps)
+
+
+def best_cycle_bruteforce(weights: WeightMatrix, eps: float) -> Found | None:
     """Exhaustive maximum over all simple directed cycles; oracle-grade.
 
     Enumerates every cycle as (smallest node, permutation of the rest),
@@ -119,7 +191,7 @@ def best_cycle_bruteforce(
     n = len(weights)
     if n > _BRUTE_FORCE_LIMIT:
         raise SizeLimitError(f"cycle enumeration limited to n <= {_BRUTE_FORCE_LIMIT}, got {n}")
-    best: tuple[tuple[int, ...], float] | None = None
+    best: Found | None = None
     for size in range(2, n + 1):
         for nodes in combinations(range(n), size):
             head = nodes[0]

@@ -152,8 +152,9 @@ def exists_pq_stable(
     # On a full matching the detector's Bellman-Ford distances stay within
     # (n + 2)**2 * big, big bounding every weight plus eps, so its rounding
     # hides less than ``slack`` of a cycle's gain: a cycle beating eps +
-    # slack keeps it from settling, and its exhaustive fallback then
-    # reports that cycle.  An overflow makes slack inf and cuts nothing.
+    # slack keeps it from settling, and an unsettled detector on at most
+    # 10 couples reports a cycle.  An overflow makes slack inf and cuts
+    # nothing.
     slack = 0.0  # prefixes are checked from n = 4 up
     if n >= 4:
         rows = inst.theta_m + inst.theta_w

@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from matchkit import (
+    DEFAULT_EPS,
     Instance,
     IntegerRange,
     Matching,
     SplitMix64,
     Uniform01,
+    clip_p,
+    delta_q,
     derive_seed,
     random_instance,
 )
@@ -65,3 +68,45 @@ def near_indifferent_instance(n, seed):
         return tuple(tuple(1.0 + rng.randint(-3, 3) * 5e-10 for _ in range(n)) for _ in range(n))
 
     return Instance(n, table(), table())
+
+
+def one_entry_instance(n, seed):
+    """All-zero tables plus one man-side entry in (2*eps/n, eps] off the
+    diagonal, the benchmark's near-indifferent check class.  Under the
+    identity matching at (1, 1) the entry's 2-cycle beats the detector's
+    eps/n-shifted threshold, while no cycle gains more than eps."""
+    rng = SplitMix64(seed)
+    i = rng.randint(0, n - 1)
+    j = (i + rng.randint(1, n - 1)) % n
+    low = 2.0 * DEFAULT_EPS / n
+    theta_m = [[0.0] * n for _ in range(n)]
+    theta_m[i][j] = low + (DEFAULT_EPS - low) * (1.0 - rng.uniform01())
+    return Instance(n, theta_m, [[0.0] * n for _ in range(n)])
+
+
+def pq_weight_matrix(inst, matching, p, q):
+    """The (p, q) chain weights from their one-pair definition: the
+    p-clipped delta_q of couple a's man courting couple b's woman, zero
+    on the diagonal."""
+    n = inst.n
+    return [
+        [
+            clip_p(delta_q(inst, matching, a, matching.assignment[b], q), p) if a != b else 0.0
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name(weights, eps)`` by a wrapper that records the
+    graph size of each call; returns the record."""
+    inner = getattr(module, name)
+    calls = []
+
+    def counted(weights, eps):
+        calls.append(len(weights))
+        return inner(weights, eps)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -23,10 +23,8 @@ from matchkit import (
     bruteforce_max_matching,
     chain_potentials,
     check_pq_monotonicity,
-    clip_p,
     combined_rewards,
     counterexample_instance,
-    delta_q,
     delta_r,
     derive_seed,
     dual_cuts,
@@ -48,7 +46,7 @@ from matchkit import (
 from matchkit.cli import main as cli_main
 from matchkit.cycles import best_cycle_bruteforce
 
-from conftest import corpus_instance, seeded_permutation
+from conftest import corpus_instance, pq_weight_matrix, seeded_permutation
 
 EPS = 1e-9
 
@@ -272,16 +270,7 @@ def test_criterion_10_detector_matches_enumeration():
         for p in grid:
             for q in grid:
                 verdict = find_pq_blocking_chain(inst, matching, PQParams(p, q))
-                weights = [
-                    [
-                        clip_p(delta_q(inst, matching, a, matching.assignment[b], q), p)
-                        if a != b
-                        else 0.0
-                        for b in range(n)
-                    ]
-                    for a in range(n)
-                ]
-                brute = best_cycle_bruteforce(weights, EPS)
+                brute = best_cycle_bruteforce(pq_weight_matrix(inst, matching, p, q), EPS)
                 if (verdict is True) != (brute is None):
                     disagreements += 1
     report(

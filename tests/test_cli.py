@@ -312,6 +312,19 @@ class TestCore:
         )
         assert result.exit_code in (0, 1)  # decided, not an error
 
+    def test_taxed_beta_with_overflowing_reciprocal_exit_2(self, runner, tmp_path):
+        inst = Instance(2, BOXED_THETA_M, BOXED_THETA_W, beta=((0.5, 5e-324), (0.5, 0.5)))
+        inst_path = tmp_path / "taxed.json"
+        inst_path.write_text(serialize_instance(inst))
+        matching = write_matching(tmp_path, "swap.json", (1, 0))
+        result = runner.invoke(
+            main,
+            ["core", "--model", "ft_taxed", "--instance", str(inst_path), "--matching", matching],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert "1/beta overflows" in result.stderr
+
 
     def test_ft_huge_reward_exit_0(self, runner, tmp_path):
         inst = Instance(2, ((1e300, 0.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, 0.0)))

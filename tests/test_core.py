@@ -119,6 +119,15 @@ class TestModels:
         with pytest.raises(DomainError):
             BargainingModel("ft_taxed", beta=((1.5,),))
 
+    def test_beta_whose_reciprocal_overflows_rejected(self):
+        # At beta = 5e-324 the taxed row u + v/beta <= tm + tw/beta reads
+        # inf <= inf for any positive v, so the audit saw members far
+        # above the budget.
+        for tiny in (5e-324, 5e-310):
+            with pytest.raises(DomainError, match="1/beta overflows"):
+                BargainingModel("ft_taxed", beta=((1.0, tiny), (1.0, 1.0)))
+        assert BargainingModel("ft_taxed", beta=((1e-308,),)).beta == ((1e-308,),)
+
 
 class TestMembership:
     def test_fnt_boxed_pair(self, boxed):
@@ -195,11 +204,13 @@ class TestAssumptionAudit:
             report = check_assumption(model, inst, 1500, seed=31)
             assert report.ok, report.violations
 
-    def test_subnormal_beta_corner_level_is_finite(self):
-        # 1/beta overflows to inf; the corner level (beta*tm + tw)/(1 + beta)
+    def test_tiny_beta_corner_level_is_finite(self):
+        # tw/beta overflows to inf; the corner level (beta*tm + tw)/(1 + beta)
         # is then tw to the last bit, capped by tm.
-        inst = random_instance(2, 5)
-        model = BargainingModel("ft_taxed", ((5e-324, 5e-324), (5e-324, 5e-324)))
+        base = random_instance(2, 5)
+        wide = tuple(tuple(x * 1e10 for x in row) for row in base.theta_w)
+        inst = Instance(2, base.theta_m, wide)
+        model = BargainingModel("ft_taxed", ((1e-300, 1e-300), (1e-300, 1e-300)))
         report = check_assumption(model, inst, 50, seed=3)
         assert report.c2 == min(
             min(inst.theta_m[i][j], inst.theta_w[i][j]) for i in range(2) for j in range(2)

@@ -32,7 +32,13 @@ from matchkit.cycles import best_cycle_bruteforce, find_positive_cycle
 from matchkit.partial_transfer import _pq_weights
 from matchkit.rng import SplitMix64, Uniform01
 
-from conftest import corpus_instance, near_indifferent_instance, random_matchings
+from conftest import (
+    corpus_instance,
+    count_calls,
+    near_indifferent_instance,
+    pq_weight_matrix,
+    random_matchings,
+)
 
 EPS = 1e-9
 GRID5 = [k / 4 for k in range(5)]
@@ -232,14 +238,10 @@ class TestBlockingChain:
         for label, inst, (p, q) in oracle_corpus():
             matching = random_matchings(inst.n, 1, derive_seed(64, inst.n))[0]
             weights = _pq_weights(inst, matching.assignment, p, q)
-            for a in range(inst.n):
-                for b in range(inst.n):
-                    expected = (
-                        clip_p(delta_q(inst, matching, a, matching.assignment[b], q), p)
-                        if a != b
-                        else 0.0
-                    )
-                    assert repr(weights[a][b]) == repr(expected), label
+            expected = pq_weight_matrix(inst, matching, p, q)
+            assert [list(map(repr, row)) for row in weights] == [
+                list(map(repr, row)) for row in expected
+            ], label
 
     @pytest.mark.parametrize("seed", range(15))
     def test_detector_vs_enumeration_on_grid(self, seed):
@@ -249,16 +251,7 @@ class TestBlockingChain:
         for p in (0.0, 0.5, 1.0):
             for q in (0.0, 0.5, 1.0):
                 verdict = find_pq_blocking_chain(inst, matching, PQParams(p, q))
-                weights = [
-                    [
-                        clip_p(delta_q(inst, matching, a, matching.assignment[b], q), p)
-                        if a != b
-                        else 0.0
-                        for b in range(n)
-                    ]
-                    for a in range(n)
-                ]
-                brute = best_cycle_bruteforce(weights, EPS)
+                brute = best_cycle_bruteforce(pq_weight_matrix(inst, matching, p, q), EPS)
                 assert (verdict is True) == (brute is None)
 
 
@@ -310,14 +303,7 @@ class TestExistenceOracle:
 
 def counting_detector(monkeypatch):
     """Count the oracle's find_positive_cycle calls."""
-    calls = []
-
-    def counted(weights, eps):
-        calls.append(len(weights))
-        return find_positive_cycle(weights, eps)
-
-    monkeypatch.setattr(partial_transfer, "find_positive_cycle", counted)
-    return calls
+    return count_calls(monkeypatch, partial_transfer, "find_positive_cycle")
 
 
 class TestExistenceOracleAgainstScan:
