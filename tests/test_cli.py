@@ -351,6 +351,29 @@ class TestCore:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "model, line",
+        [
+            ("ft", "core-valid: yes (u=[3, 0], v=[0, 2])"),
+            ("ft_nonneg", "core-valid: yes (u=[3, 0], v=[0, 2])"),
+            ("ft_m2w", "core-valid: yes (u=[0, -2], v=[2, 5])"),
+            ("ft_taxed", "core-valid: yes (u=[0, -3], v=[1.5, 5])"),
+        ],
+    )
+    def test_men_optimal_cuts_on_boxed_swap(self, runner, tmp_path, model, line):
+        # The cuts printed are the men-optimal ones: under ft_m2w,
+        # u = [0, -3], v = [3, 5] supports the swap too, but u = [0, -2] is
+        # the greatest supporting u.
+        inst = Instance(2, BOXED_THETA_M, BOXED_THETA_W, beta=((0.5, 0.5), (0.5, 0.5)))
+        inst_path = tmp_path / "boxed_beta.json"
+        inst_path.write_text(serialize_instance(inst))
+        matching = write_matching(tmp_path, "swap.json", (1, 0))
+        result = runner.invoke(
+            main, ["core", "--model", model, "--instance", str(inst_path), "--matching", matching]
+        )
+        assert result.exit_code == 0
+        assert result.output.splitlines()[2] == line
+
     def test_cuts_beyond_2_53_print_as_repr(self, runner, tmp_path):
         inst_path, matching = write_near_limit(tmp_path)
         result = runner.invoke(

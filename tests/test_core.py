@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from matchkit import bargaining
 from matchkit import (
     BargainingModel,
     CutVector,
@@ -20,12 +21,14 @@ from matchkit import (
     derive_seed,
     dual_cuts,
     find_fnt_blocking_pairs,
+    gale_shapley,
     in_feasible_set,
     in_interior,
     random_instance,
     search_core,
     verify_core_point,
 )
+from matchkit.bargaining import _halfplanes
 from matchkit.exact_lp import feasible_point, satisfies
 
 EPS = 1e-9
@@ -39,6 +42,107 @@ def make_model(kind: str, n: int) -> BargainingModel:
         beta = tuple(tuple(0.25 if (i + j) % 2 else 0.5 for j in range(n)) for i in range(n))
         return BargainingModel(kind, beta)
     return BargainingModel(kind)
+
+
+def disjunctive_core(model, inst, matching):
+    """Reference: the disjunctive branch-and-simplex search that the
+    lattice descent replaced.
+
+    Each pair's exclusion from its open feasibility set is a disjunction
+    over the closed complements of its half-planes.  Branches run depth
+    first in pair-major order with interval pruning; each leaf is an
+    exact rational feasibility problem over the same half-plane table.
+    Returns the exact point (u then v) of the first feasible branch, or
+    None.  Up to 3^(n^2) leaves: minutes on a capped n = 3 matching with
+    no core point.
+    """
+    n = inst.n
+    nv = 2 * n
+
+    def row(i, j, cu, cv, rhs):
+        coeffs = [Fraction(0)] * nv
+        coeffs[i] = cu
+        coeffs[n + j] = cv
+        return (tuple(coeffs), rhs)
+
+    def tighten(constraint, lo, hi):
+        nonzero = [(k, c) for k, c in enumerate(constraint[0]) if c != 0]
+        if len(nonzero) != 1:
+            return True
+        k, c = nonzero[0]
+        bound = constraint[1] / c
+        if c > 0:
+            if hi[k] is None or bound < hi[k]:
+                hi[k] = bound
+        elif lo[k] is None or bound > lo[k]:
+            lo[k] = bound
+        return lo[k] is None or hi[k] is None or lo[k] <= hi[k]
+
+    def box_ok(constraints, lo, hi):
+        for coeffs, rhs in constraints:
+            total = Fraction(0)
+            for k, c in enumerate(coeffs):
+                if c == 0:
+                    continue
+                bound = lo[k] if c > 0 else hi[k]
+                if bound is None:
+                    break
+                total += c * bound
+            else:
+                if total > rhs:
+                    return False
+        return True
+
+    base = [
+        row(i, matching.assignment[i], cu, cv, rhs)
+        for i in range(n)
+        for cu, cv, rhs in _halfplanes(model, inst, i, matching.assignment[i], Fraction)
+    ]
+    branch_sets = [
+        [row(i, j, -cu, -cv, -rhs) for cu, cv, rhs in _halfplanes(model, inst, i, j, Fraction)]
+        for i in range(n)
+        for j in range(n)
+    ]
+    lo, hi = [None] * nv, [None] * nv
+    if not all(tighten(c, lo, hi) for c in base) or not box_ok(base, lo, hi):
+        return None
+
+    def descend(idx, constraints, lo, hi):
+        if idx == len(branch_sets):
+            return feasible_point(nv, constraints)
+        for option in branch_sets[idx]:
+            new_lo, new_hi = lo[:], hi[:]
+            if not tighten(option, new_lo, new_hi):
+                continue
+            grown = constraints + [option]
+            if box_ok(grown, new_lo, new_hi):
+                found = descend(idx + 1, grown, new_lo, new_hi)
+                if found is not None:
+                    return found
+        return None
+
+    return descend(0, base, lo, hi)
+
+
+def parity_instances(n, count, tag):
+    """Seeded tables for the oracle parity test: near-tied integers
+    (0..2, many exact ties), integers nudged by multiples of eps / 2,
+    and uniform floats; beta off the grid in (0.5, 1] or all 1."""
+    rng = SplitMix64(derive_seed(65, tag, n))
+    draws = (
+        lambda: float(rng.randint(0, 2)),
+        lambda: rng.randint(0, 2) + rng.randint(-2, 2) * 5e-10,
+        rng.uniform01,
+    )
+    for k in range(count):
+        draw = draws[k % 3]
+        tm = tuple(tuple(draw() for _ in range(n)) for _ in range(n))
+        tw = tuple(tuple(draw() for _ in range(n)) for _ in range(n))
+        if k % 2:
+            beta = tuple(tuple(1.0 - 0.5 * rng.uniform01() for _ in range(n)) for _ in range(n))
+        else:
+            beta = tuple(tuple(1.0 for _ in range(n)) for _ in range(n))
+        yield Instance(n, tm, tw, beta)
 
 
 class TestExactLP:
@@ -216,6 +320,20 @@ class TestAssumptionAudit:
             min(inst.theta_m[i][j], inst.theta_w[i][j]) for i in range(2) for j in range(2)
         )
 
+    def test_overflowing_taxed_row_decided_exactly(self):
+        # tw/beta overflows, so the taxed row reads u + v/beta <= inf in
+        # floats and would admit points far above the budget.
+        base = random_instance(2, 5)
+        wide = tuple(tuple(x * 1e10 for x in row) for row in base.theta_w)
+        inst = Instance(2, base.theta_m, wide)
+        model = BargainingModel("ft_taxed", ((1e-300, 1e-300), (1e-300, 1e-300)))
+        report = check_assumption(model, inst, 500, seed=1)
+        assert report.ok, report.violations
+        budget = inst.theta_m[0][1] + inst.theta_w[0][1]
+        assert not in_feasible_set(model, inst, 0, 1, 0.0, 2 * budget)
+        assert in_feasible_set(model, inst, 0, 1, 0.0, budget / 2)
+        assert not in_interior(model, inst, 0, 1, inst.theta_m[0][1], 0.0)
+
 
 class TestCorePoint:
     def test_fnt_canonical_boxed(self, boxed, identity2):
@@ -360,3 +478,95 @@ class TestSearchCore:
                 found = search_core(model, inst, Matching(perm))
                 if found is not None:
                     assert verify_core_point(model, inst, Matching(perm), found), kind
+
+
+class TestOracleParity:
+    """search_core against the disjunctive search it replaced."""
+
+    @staticmethod
+    def agree(kind, inst, matching):
+        model = BargainingModel(kind, inst.beta if kind == "ft_taxed" else None)
+        found = search_core(model, inst, matching)
+        point = disjunctive_core(model, inst, matching)
+        assert (found is None) == (point is None), (kind, inst, matching)
+        if found is not None:
+            assert verify_core_point(model, inst, matching, found), (kind, inst, matching)
+            if kind != "ft":  # capped: the greatest u is above every other
+                assert all(x >= float(y) for x, y in zip(found.u, point[: inst.n])), kind
+        return found
+
+    def test_every_family_and_matching_at_n_up_to_2(self):
+        verdicts = []
+        for n in (1, 2):
+            for inst in parity_instances(n, 12, 0):
+                for perm in permutations(range(n)):
+                    for kind in ALL_KINDS:
+                        verdicts.append(self.agree(kind, inst, Matching(perm)) is None)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_uncapped_and_fnt_at_n_3(self):
+        for inst in parity_instances(3, 3, 1):
+            for perm in permutations(range(3)):
+                for kind in ("fnt", "ft"):
+                    self.agree(kind, inst, Matching(perm))
+
+    def test_capped_families_at_n_3_sampled(self):
+        # The oracle walks up to 3^9 leaves when there is no core point,
+        # which takes minutes at n = 3; sample the deferred-acceptance
+        # matching of a few tables.
+        verdicts = []
+        for inst in parity_instances(3, 6, 2):
+            for kind in ("ft_nonneg", "ft_m2w", "ft_taxed"):
+                verdicts.append(self.agree(kind, inst, gale_shapley(inst)) is None)
+        assert not all(verdicts)
+
+
+class TestDescentRounds:
+    """The round bound stated in search_core's docstring: 76 at n = 2."""
+
+    BOUND_N2 = 76
+
+    @staticmethod
+    def count_rounds(monkeypatch):
+        inner = bargaining._sweep
+        rounds = []
+
+        def counted(bounds, u, pred):
+            rounds.append(1)
+            return inner(bounds, u, pred)
+
+        monkeypatch.setattr(bargaining, "_sweep", counted)
+        return rounds
+
+    def test_near_tied_nonneg_cycle(self, monkeypatch):
+        # Every pooled total is 1 except the two off-diagonal ones, 1 + d/2:
+        # the swap beats the identity by d.  From the caps u = (1, 1) a plain
+        # descent lowers both men by that deficit per round until man 0
+        # reaches d/2, where woman 1 would need more than her husband's
+        # total: about 1/d rounds.
+        d = 5e-7
+        inst = Instance(2, ((0.5, 0.5 + d / 2), (0.5 + d / 2, 0.5)), ((0.5,) * 2,) * 2)
+        total = [[Fraction(a) + Fraction(b) for a, b in zip(*rows)]
+                 for rows in zip(inst.theta_m, inst.theta_w)]
+        deficit = total[0][1] + total[1][0] - total[0][0] - total[1][1]
+        wall = total[0][1] - total[1][1]
+        assert (1 - wall) / deficit >= 10**6
+        rounds = self.count_rounds(monkeypatch)
+        assert search_core(BargainingModel("ft_nonneg"), inst, Matching((0, 1))) is None
+        assert len(rounds) <= self.BOUND_N2
+        assert disjunctive_core(BargainingModel("ft_nonneg"), inst, Matching((0, 1))) is None
+
+    def test_taxed_cycle_converging_geometrically(self, monkeypatch):
+        # With beta = 1/2 off the diagonal, each man's bound follows the
+        # other's at slope 1/2: the cycle contracts by 1/4 per round
+        # toward u = (-1, -1), which a plain descent never reaches.
+        inst = Instance(2, ((1.0, 2.0), (2.0, 1.0)), ((1.0, 1.5), (1.5, 1.0)))
+        model = BargainingModel("ft_taxed", ((1.0, 0.5), (0.5, 1.0)))
+        rounds = self.count_rounds(monkeypatch)
+        found = search_core(model, inst, Matching((0, 1)))
+        assert found == CutVector((-1.0, -1.0), (3.0, 3.0))
+        assert len(rounds) <= self.BOUND_N2
+        assert verify_core_point(model, inst, Matching((0, 1)), found)
+        assert not verify_core_point(
+            model, inst, Matching((0, 1)), CutVector((-0.999, -0.999), (3.0, 3.0))
+        )
