@@ -52,7 +52,7 @@ def _die(code: int, message: str) -> None:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _die(EXIT_USAGE, f"cannot read {path}: {exc}")
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -44,26 +46,28 @@ def _coerce_matrix(rows, n: int, name: str) -> Matrix:
     out = []
     for r, row in enumerate(row_list):
         try:
-            entries = list(row)
+            entries = tuple(row)
         except TypeError:
             raise MalformedInputError(f"{name} row {r} must be a list") from None
         if len(entries) != n:
             raise DimensionMismatchError(
                 f"{name} row {r} must have {n} entries, got {len(entries)}"
             )
-        if set(map(type, entries)) <= _PLAIN_NUMBERS:
+        types = set(map(type, entries))
+        if types <= _PLAIN_NUMBERS:
             try:
-                vals = tuple(map(float, entries))
+                vals = entries if types == {float} else tuple(map(float, entries))
             except OverflowError:
                 vals = None
-            if vals is not None and all(map(math.isfinite, vals)):
+            # a finite sum has only finite terms; other rows go entry by entry
+            if vals is not None and math.isfinite(sum(vals)):
                 out.append(vals)
                 continue
         out.append(_coerce_row(entries, r, name))
     return tuple(out)
 
 
-def _coerce_row(entries: list, r: int, name: str) -> tuple[float, ...]:
+def _coerce_row(entries: tuple, r: int, name: str) -> tuple[float, ...]:
     """Entry-by-entry form of _coerce_matrix's row check, which names
     the first offending entry; also admits int and float subclasses."""
     vals = []
@@ -262,25 +266,15 @@ def combined_rewards(inst: Instance) -> Matrix:
 def preference_orders(inst: Instance) -> PreferenceProfile:
     """Rank each side's partners by decreasing reward.
 
-    Equal rewards tie; ties are broken by ascending index and flagged.
+    One stable argsort of both sides' negated rewards: equal rewards tie,
+    keep ascending index order, and are flagged.
     """
-    n = inst.n
-    has_ties = False
-    men = []
-    for i in range(n):
-        row = inst.theta_m[i]
-        order = sorted(range(n), key=lambda j: (-row[j], j))
-        if len(set(row)) != n:
-            has_ties = True
-        men.append(tuple(order))
-    women = []
-    for j in range(n):
-        col = tuple(inst.theta_w[i][j] for i in range(n))
-        order = sorted(range(n), key=lambda i: (-col[i], i))
-        if len(set(col)) != n:
-            has_ties = True
-        women.append(tuple(order))
-    return PreferenceProfile(tuple(men), tuple(women), has_ties)
+    tables = -np.array(inst.theta_m + tuple(zip(*inst.theta_w)))
+    order = np.argsort(tables, axis=1, kind="stable")
+    tables.sort(axis=1)
+    lists = tuple(map(tuple, order.tolist()))
+    has_ties = bool((tables[:, 1:] == tables[:, :-1]).any())
+    return PreferenceProfile(lists[: inst.n], lists[inst.n :], has_ties)
 
 
 def random_instance(n: int, seed: int, dist: Distribution = Uniform01()) -> Instance:
@@ -295,6 +289,16 @@ def random_instance(n: int, seed: int, dist: Distribution = Uniform01()) -> Inst
     return Instance(n, theta_m, theta_w)
 
 
+def _load_json(text: str):
+    """``json.loads``, its failures raised as MalformedInputError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"not valid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise MalformedInputError("not valid JSON: nested too deeply") from None
+
+
 def parse_instance(text: str) -> Instance:
     """Read an instance from its JSON form.
 
@@ -302,10 +306,7 @@ def parse_instance(text: str) -> Instance:
     "beta": [[...]]}`` with ``beta`` optional.  Malformed JSON, shape
     mismatches, and non-finite entries raise distinct errors.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"not valid JSON: {exc.msg}") from None
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise MalformedInputError("instance JSON must be an object")
     missing = [key for key in ("n", "theta_m", "theta_w") if key not in data]
@@ -333,10 +334,7 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_matching(text: str) -> Matching:
     """Read a matching from ``{"assignment": [ints]}`` (0-based)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"not valid JSON: {exc.msg}") from None
+    data = _load_json(text)
     if not isinstance(data, dict) or "assignment" not in data:
         raise MalformedInputError('matching JSON must be an object with key "assignment"')
     assignment = data["assignment"]

@@ -65,49 +65,49 @@ class GaleShapleyResult:
 def gale_shapley_detailed(inst: Instance, proposer: str = "men") -> GaleShapleyResult:
     """Run deferred acceptance and report the proposal count.
 
-    Women proposing is the mirrored run: sides swap, tables transpose,
-    and the result maps back.  Each proposer advances one list position
-    per proposal, so at most n*n proposals happen in total.
+    Women proposing runs the men's loop with the two ranked lists
+    swapped.  Each proposer advances one list position per proposal,
+    so at most n*n proposals happen in total.
     """
     if proposer not in ("men", "women"):
         raise DomainError(f'proposer must be "men" or "women", got {proposer!r}')
-    if proposer == "women":
-        result = gale_shapley_detailed(inst.mirrored(), "men")
-        assignment = [-1] * inst.n
-        for woman, man in enumerate(result.matching.assignment):
-            assignment[man] = woman
-        return GaleShapleyResult(Matching(tuple(assignment)), result.proposals, "women")
-
     prefs = preference_orders(inst)
-    n = inst.n
-    # rank[w][i]: position of man i in woman w's tie-broken list.  Equal
-    # rewards rank the lower-index man first, so an engaged woman keeps
-    # the lower-index man on a tied challenge.
+    if proposer == "men":
+        husbands, proposals = _deferred_acceptance(prefs.men, prefs.women)
+        assignment = Matching(tuple(husbands)).inverse
+    else:
+        assignment, proposals = _deferred_acceptance(prefs.women, prefs.men)
+    return GaleShapleyResult(Matching(tuple(assignment)), proposals, proposer)
+
+
+def _deferred_acceptance(proposing, receiving) -> tuple[list[int], int]:
+    """Each receiver's partner after deferred acceptance, and the number
+    of proposals.  Equal rewards rank the lower index first, so an
+    engaged receiver keeps the lower-index proposer on a tied challenge.
+    """
+    n = len(proposing)
     rank = [[0] * n for _ in range(n)]
-    for w in range(n):
-        for position, man in enumerate(prefs.women[w]):
-            rank[w][man] = position
+    for row, ranking in zip(rank, receiving):
+        for position, p in enumerate(ranking):
+            row[p] = position
     next_choice = [0] * n
-    fiance = [-1] * n
+    partner = [-1] * n
     free = deque(range(n))
     proposals = 0
     while free:
-        man = free.popleft()
-        woman = prefs.men[man][next_choice[man]]
-        next_choice[man] += 1
+        p = free.popleft()
+        r = proposing[p][next_choice[p]]
+        next_choice[p] += 1
         proposals += 1
-        current = fiance[woman]
+        current = partner[r]
         if current == -1:
-            fiance[woman] = man
-        elif rank[woman][man] < rank[woman][current]:
-            fiance[woman] = man
+            partner[r] = p
+        elif rank[r][p] < rank[r][current]:
+            partner[r] = p
             free.append(current)
         else:
-            free.append(man)
-    assignment = [-1] * n
-    for woman, man in enumerate(fiance):
-        assignment[man] = woman
-    return GaleShapleyResult(Matching(tuple(assignment)), proposals, "men")
+            free.append(p)
+    return partner, proposals
 
 
 def gale_shapley(inst: Instance, proposer: str = "men") -> Matching:

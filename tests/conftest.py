@@ -46,6 +46,30 @@ def corpus_instance(idx: int, max_n: int, tag: int = 0) -> Instance:
     return random_instance(n, derive_seed(tag, idx), dist)
 
 
+def ranking_corpus(seeds: int = 4):
+    """Seeded instances at n = 1..12 on uniform, 0..2 and -1..1 tables,
+    each also with every other zero flipped to -0.0 and scaled by 1e307:
+    ties, signed zeros and rewards near the float limit."""
+
+    def flip_zeros(table):
+        return tuple(
+            tuple(-0.0 if x == 0 and (i + j) % 2 else x for j, x in enumerate(row))
+            for i, row in enumerate(table)
+        )
+
+    def scaled(table):
+        return tuple(tuple(x * 1e307 for x in row) for row in table)
+
+    dists = (Uniform01(), IntegerRange(0, 2), IntegerRange(-1, 1))
+    for n in range(1, 13):
+        for k, dist in enumerate(dists):
+            for seed in range(seeds):
+                inst = random_instance(n, derive_seed(n, k, seed), dist)
+                yield inst
+                for variant in (flip_zeros, scaled):
+                    yield Instance(n, variant(inst.theta_m), variant(inst.theta_w))
+
+
 def seeded_permutation(n: int, rng: SplitMix64) -> tuple[int, ...]:
     order = list(range(n))
     for i in range(n - 1, 0, -1):

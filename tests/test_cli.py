@@ -101,6 +101,22 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "nt", "--instance", str(bad)])
         assert result.exit_code == 2
 
+    def test_undecodable_instance_exit_2(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        result = runner.invoke(main, ["solve", "nt", "--instance", str(bad)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert f"cannot read {bad}:" in result.output
+
+    def test_deeply_nested_instance_exit_2(self, runner, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        result = runner.invoke(main, ["solve", "nt", "--instance", str(deep)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "not valid JSON: nested too deeply" in result.output
+
     def test_deterministic_output(self, runner, boxed_file):
         first = runner.invoke(main, ["solve", "ft", "--instance", boxed_file])
         second = runner.invoke(main, ["solve", "ft", "--instance", boxed_file])
@@ -168,6 +184,17 @@ class TestCheck:
             ["check", "--instance", boxed_file, "--matching", matching, "--p", "1.5", "--q", "0"],
         )
         assert result.exit_code == 2
+
+    def test_undecodable_matching_exit_2(self, runner, boxed_file, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        result = runner.invoke(
+            main,
+            ["check", "--instance", boxed_file, "--matching", str(bad), "--p", "0", "--q", "0"],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"cannot read {bad}:" in result.output
 
     def test_wrong_size_matching_exit_2(self, runner, boxed_file, tmp_path):
         matching = write_matching(tmp_path, "bad.json", (0, 2, 1))

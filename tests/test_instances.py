@@ -16,6 +16,7 @@ from matchkit import (
     Matching,
     NonFiniteEntryError,
     PQParams,
+    PreferenceProfile,
     SplitMix64,
     Uniform01,
     combined_rewards,
@@ -27,7 +28,29 @@ from matchkit import (
     serialize_matching,
 )
 
-from conftest import BOXED_THETA_M, BOXED_THETA_W
+from conftest import BOXED_THETA_M, BOXED_THETA_W, ranking_corpus
+
+
+def reference_preference_orders(inst):
+    """Reference: the per-list sorted-key ranking the numpy argsort
+    replaced."""
+    n = inst.n
+    has_ties = False
+    men = []
+    for i in range(n):
+        row = inst.theta_m[i]
+        order = sorted(range(n), key=lambda j: (-row[j], j))
+        if len(set(row)) != n:
+            has_ties = True
+        men.append(tuple(order))
+    women = []
+    for j in range(n):
+        col = tuple(inst.theta_w[i][j] for i in range(n))
+        order = sorted(range(n), key=lambda i: (-col[i], i))
+        if len(set(col)) != n:
+            has_ties = True
+        women.append(tuple(order))
+    return PreferenceProfile(tuple(men), tuple(women), has_ties)
 
 
 class TestCombinedRewards:
@@ -65,6 +88,14 @@ class TestPreferenceOrders:
         prefs = preference_orders(inst)
         assert prefs.men[0] == (0, 1, 2)
         assert prefs.has_ties
+
+    def test_matches_sorted_key_reference(self):
+        for inst in ranking_corpus():
+            prefs = preference_orders(inst)
+            expected = reference_preference_orders(inst)
+            assert prefs.men == expected.men
+            assert prefs.women == expected.women
+            assert prefs.has_ties == expected.has_ties
 
     @settings(max_examples=30)
     @given(st.integers(0, 2**32), st.integers(1, 6))
@@ -142,6 +173,10 @@ class TestSerialization:
     def test_rejects_malformed_json(self):
         with pytest.raises(MalformedInputError):
             parse_instance("{not json")
+        deep = "[" * 100_000
+        for parse, text in ((parse_instance, deep), (parse_matching, '{"assignment": ' + deep + "}")):
+            with pytest.raises(MalformedInputError, match="^not valid JSON: nested too deeply$"):
+                parse(text)
 
     def test_rejects_missing_keys(self):
         with pytest.raises(MalformedInputError):
@@ -164,10 +199,13 @@ class TestSerialization:
             ('"x"', MalformedInputError, "theta_m[1][0] is not a number"),
             ("-Infinity", NonFiniteEntryError, "theta_m[1][0] is not finite"),
             ("1" + "0" * 400, NonFiniteEntryError, "theta_m[1][0] is not finite"),
+            # a whole row, whose sum is nan
+            ("[Infinity, -Infinity]", NonFiniteEntryError, "theta_m[1][0] is not finite"),
         ],
     )
     def test_bad_entry_is_named(self, entry, error, message):
-        text = '{"n": 2, "theta_m": [[1, 2], [' + entry + ', 3]], "theta_w": [[0, 0], [0, 0]]}'
+        row = entry if entry.startswith("[") else "[" + entry + ", 3]"
+        text = '{"n": 2, "theta_m": [[1, 2], ' + row + '], "theta_w": [[0, 0], [0, 0]]}'
         with pytest.raises(error) as info:
             parse_instance(text)
         assert str(info.value) == message
@@ -179,6 +217,12 @@ class TestSerialization:
         inst = Instance(2, ((Tagged(1.5), 2), (0, 10**20)), BOXED_THETA_W)
         assert inst.theta_m == ((1.5, 2.0), (0.0, 1e20))
         assert all(type(x) is float for row in inst.theta_m for x in row)
+        # finite entries whose sum overflows are kept unchanged
+        text = '{"n": 2, "theta_m": [[1.7e308, 1.7e308], [0, 1]], "theta_w": [[0, 0], [0, 0]]}'
+        assert parse_instance(text).theta_m == ((1.7e308, 1.7e308), (0.0, 1.0))
+        # a tuple row comes back with equal values
+        inst = Instance(2, ((0.5, -2.0), [1, 2.5]), BOXED_THETA_W)
+        assert inst.theta_m == ((0.5, -2.0), (1.0, 2.5))
 
     def test_matching_round_trip(self):
         m = Matching((2, 0, 1))

@@ -20,7 +20,7 @@ from matchkit import (
     verify_men_optimality,
 )
 
-from conftest import corpus_instance, near_indifferent_instance, random_matchings
+from conftest import corpus_instance, near_indifferent_instance, random_matchings, ranking_corpus
 
 EPS = 1e-9
 
@@ -110,9 +110,12 @@ class TestGaleShapley:
     def test_women_proposing_mirrors(self, boxed):
         women_run = gale_shapley(boxed, "women")
         assert find_fnt_blocking_pairs(boxed, women_run) == []
-        mirrored = gale_shapley(boxed.mirrored(), "men")
-        # woman i's man under the mirrored run is her partner here
-        assert all(mirrored.assignment[j] == women_run.inverse[j] for j in range(2))
+        for inst in (boxed, *ranking_corpus()):
+            women_run = gale_shapley_detailed(inst, "women")
+            mirrored = gale_shapley_detailed(inst.mirrored(), "men")
+            # woman j's man under the mirrored run is her partner here
+            assert women_run.matching.inverse == mirrored.matching.assignment
+            assert women_run.proposals == mirrored.proposals
 
     def test_mirror_identity_both_ways(self):
         for seed in range(20):
