@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     SizeLimitError,
 )
-from .instances import CutVector, Instance, Matching, Matrix, _coerce_matrix
+from .instances import CutVector, Instance, Matching, Matrix, _check_fits, _coerce_matrix
 from .rng import SplitMix64
 from .tolerance import DEFAULT_EPS
 
@@ -77,8 +77,6 @@ def _check_pair(inst: Instance, i: int, j: int) -> None:
 
 
 def _beta_at(model: BargainingModel, inst: Instance, i: int, j: int) -> float:
-    if model.beta is None:
-        raise PreconditionError('model "ft_taxed" requires a beta matrix')
     if len(model.beta) != inst.n:
         raise DimensionMismatchError(
             f"beta is {len(model.beta)}x{len(model.beta)}, instance needs {inst.n}x{inst.n}"
@@ -249,8 +247,7 @@ def verify_core_point(
     whatsoever may sit in the interior of its own feasibility set.
     """
     n = inst.n
-    if matching.n != n or cuts.n != n:
-        raise DimensionMismatchError("matching, cuts, and instance sizes must agree")
+    _check_fits(n, matching, cuts)
     for i in range(n):
         wi = matching.assignment[i]
         if not in_feasible_set(model, inst, i, wi, cuts.u[i], cuts.v[wi], eps=eps):
@@ -265,8 +262,7 @@ def verify_core_point(
 def canonical_fnt_cuts(inst: Instance, matching: Matching) -> CutVector:
     """Everyone takes their own matched reward in full."""
     n = inst.n
-    if matching.n != n:
-        raise DimensionMismatchError("matching and instance sizes must agree")
+    _check_fits(n, matching)
     u = [0.0] * n
     v = [0.0] * n
     for i in range(n):
@@ -401,10 +397,14 @@ def search_core(
 
     "ft" has no caps and its cuts translate; its gauge caps u_h at the
     pair's total, so the least-paid woman gets exactly 0.
+
+    The search decides exactly and does not apply ``eps``, so a gap
+    below eps that ``verify_core_point`` forgives still rules a core
+    point out here (identity matching, theta_m = [[1, 1.0000000001],
+    [1, 1]], theta_w = 0, "ft").
     """
     n = inst.n
-    if matching.n != n:
-        raise DimensionMismatchError("matching and instance sizes must agree")
+    _check_fits(n, matching)
     if n > CORE_SEARCH_LIMIT:
         raise SizeLimitError(f"core search limited to n <= {CORE_SEARCH_LIMIT}, got {n}")
     wife = matching.assignment

@@ -50,10 +50,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import SizeLimitError
+from .tolerance import UNIT_ROUNDOFF
 
 _BRUTE_FORCE_LIMIT = 10
-
-_UNIT = 2.0**-53  # unit roundoff of a double
 
 WeightMatrix = Sequence[Sequence[float]]
 Found = tuple[tuple[int, ...], float]
@@ -121,7 +120,7 @@ def _cycle_cover(weights: WeightMatrix, eps: float) -> Found | None:
     # itself within gamma_{n-1} of the computed bound, where gamma_k =
     # k*u / (1 - k*u) (Higham, 2002, section 3.1).  Twice gamma_{2n} covers
     # both and the last two roundings.
-    gamma = 2 * n * _UNIT / (1.0 - 2 * n * _UNIT)
+    gamma = 2 * n * UNIT_ROUNDOFF / (1.0 - 2 * n * UNIT_ROUNDOFF)
     positive = np.fmax(arr, 0.0)
     with np.errstate(over="ignore"):
         bound = min(positive.max(axis=1).sum(), positive.max(axis=0).sum())

@@ -194,6 +194,13 @@ def _lex_search(
     return extend((), tuple(range(n)))
 
 
+def _check_unit_interval(name: str, value) -> None:
+    """The one range guard on sharing levels: ``value`` must be an int or
+    a float (not a bool) in [0, 1]; NaN fails the comparison."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class PQParams:
     """Sharing levels: p between pairs, q inside a pair, both in [0, 1]."""
@@ -202,11 +209,8 @@ class PQParams:
     q: float
 
     def __post_init__(self):
-        for name, value in (("p", self.p), ("q", self.q)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise MalformedInputError(f"{name} must be a number")
-            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {value}")
+        _check_unit_interval("p", self.p)
+        _check_unit_interval("q", self.q)
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "q", float(self.q))
 
@@ -238,6 +242,15 @@ class CutVector:
 
     def total(self) -> float:
         return sum(self.u) + sum(self.v)
+
+
+def _check_fits(n: int, matching: Matching, cuts: CutVector | None = None) -> None:
+    """The one size guard: the matching, and the cuts when given, must
+    have n couples."""
+    if matching.n != n:
+        raise DimensionMismatchError(f"matching size {matching.n} does not fit instance size {n}")
+    if cuts is not None and cuts.n != n:
+        raise DimensionMismatchError(f"cut vector size {cuts.n} does not fit instance size {n}")
 
 
 @dataclass(frozen=True)

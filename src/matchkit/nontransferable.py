@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError, DomainError, SizeLimitError
-from .instances import Instance, Matching, _lex_search, preference_orders
+from .errors import DomainError, SizeLimitError
+from .instances import Instance, Matching, _check_fits, _lex_search, preference_orders
 from .tolerance import DEFAULT_EPS
 
 ENUMERATION_LIMIT = 8
@@ -29,7 +29,7 @@ def find_fnt_blocking_pairs(
     theta_m[i][j] - theta_m[i][current woman] and
     theta_w[i][j] - theta_w[current man of j][j] exceed eps.
     """
-    _require_same_size(inst, matching)
+    _check_fits(inst.n, matching)
     n = inst.n
     assignment, inverse = matching.assignment, matching.inverse
     return [
@@ -187,9 +187,3 @@ def verify_men_optimality(inst: Instance, *, eps: float = DEFAULT_EPS) -> MenOpt
         detail=f"optimal for all men across {len(stable)} stable matchings",
     )
 
-
-def _require_same_size(inst: Instance, matching: Matching) -> None:
-    if matching.n != inst.n:
-        raise DimensionMismatchError(
-            f"matching size {matching.n} does not fit instance size {inst.n}"
-        )

@@ -15,15 +15,16 @@ two-couple family that has no stable matching whenever q exceeds p.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 from .cycles import find_positive_cycle
-from .errors import DimensionMismatchError, DomainError, SizeLimitError
-from .instances import Instance, Matching, PQParams, _lex_search, random_instance
+from .errors import DomainError, SizeLimitError
+from .instances import (
+    Instance, Matching, PQParams, _check_fits, _check_unit_interval, _lex_search, random_instance
+)
 from .rng import SplitMix64, Uniform01, derive_seed
-from .tolerance import DEFAULT_EPS
+from .tolerance import DEFAULT_EPS, UNIT_ROUNDOFF
 
 ORACLE_LIMIT = 8
 SWEEP_LIMIT = 6
@@ -33,8 +34,7 @@ InstanceStream = Callable[[float, float, int], Instance]
 
 def clip_p(x: float, p: float) -> float:
     """Keep gains, discount losses: x when x >= 0, else p*x."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must lie in [0, 1], got {p}")
+    _check_unit_interval("p", p)
     return x if x >= 0.0 else p * x
 
 
@@ -48,12 +48,8 @@ def delta_q(inst: Instance, matching: Matching, i: int, j: int, q: float) -> flo
     after keeping only the q-fraction.  Courting one's own partner is
     exactly neutral.
     """
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must lie in [0, 1], got {q}")
-    if matching.n != inst.n:
-        raise DimensionMismatchError(
-            f"matching size {matching.n} does not fit instance size {inst.n}"
-        )
+    _check_unit_interval("q", q)
+    _check_fits(inst.n, matching)
     wi = matching.assignment[i]
     partner = matching.man_of(j)
     a = inst.theta_m[i][j] - inst.theta_m[i][wi]
@@ -67,8 +63,7 @@ def delta_r(a: float, b: float, r: float) -> float:
     At r=1 this is min(a, b); it decreases in r, and
     min(q*a + b, q*b + a) == (q+1) * delta_r(a, b, (1-q)/(1+q)).
     """
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"r must lie in [0, 1], got {r}")
+    _check_unit_interval("r", r)
     return 0.5 * (a + b) - 0.5 * r * abs(a - b)
 
 
@@ -122,10 +117,7 @@ def find_pq_blocking_chain(
     a's man courting b's woman; a chain activates exactly when some
     simple cycle has positive clipped sum.
     """
-    if matching.n != inst.n:
-        raise DimensionMismatchError(
-            f"matching size {matching.n} does not fit instance size {inst.n}"
-        )
+    _check_fits(inst.n, matching)
     found = find_positive_cycle(_pq_weights(inst, matching.assignment, pq.p, pq.q), eps)
     if found is None:
         return True
@@ -159,7 +151,7 @@ def exists_pq_stable(
     if n >= 4:
         rows = inst.theta_m + inst.theta_w
         big = eps + 4.0 * (max(map(max, rows)) - min(map(min, rows)))
-        slack = 2 * n * 2.0**-53 * ((n + 2) ** 2 * big)
+        slack = 2 * n * UNIT_ROUNDOFF * ((n + 2) ** 2 * big)
 
     def admits(prefix: tuple[int, ...]) -> bool:
         found = find_positive_cycle(_pq_weights(inst, prefix, p, q), eps)
@@ -180,11 +172,8 @@ def counterexample_instance(p: float, q: float, *, eps: float = DEFAULT_EPS) -> 
     and the swapped matching breaks because both reverse hops have
     positive margin outright.
     """
-    for name, value in (("p", p), ("q", q)):
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            raise DomainError(f"{name} must be a finite number")
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1], got {value}")
+    _check_unit_interval("p", p)
+    _check_unit_interval("q", q)
     if q - p <= 10.0 * eps:
         raise DomainError(f"counterexample requires q > p (got p={p}, q={q})")
     a = 1.0
@@ -300,12 +289,11 @@ def check_pq_monotonicity(
         for iq in range(grid_steps):
             pq = PQParams(ip / denom, iq / denom)
             stable[ip][iq] = find_pq_blocking_chain(inst, matching, pq, eps=eps) is True
-    for ip in range(grid_steps):
-        for iq in range(grid_steps):
-            if not stable[ip][iq]:
-                continue
-            for ip2 in range(ip, grid_steps):
-                for iq2 in range(iq + 1):
-                    if not stable[ip2][iq2]:
-                        return False
-    return True
+    # Upper-left closure follows, by induction, from each stable cell's
+    # next cell in p and previous cell in q being stable.
+    return all(
+        (ip + 1 == grid_steps or stable[ip + 1][iq]) and (iq == 0 or stable[ip][iq - 1])
+        for ip in range(grid_steps)
+        for iq in range(grid_steps)
+        if stable[ip][iq]
+    )

@@ -15,6 +15,10 @@ from .errors import DomainError
 
 DEFAULT_EPS = 1e-9
 
+# Unit roundoff of a double: a rounded float operation errs by at most
+# this fraction of its exact result (barring overflow and underflow).
+UNIT_ROUNDOFF = 2.0**-53
+
 _ENV_VAR = "MATCHKIT_EPS"
 
 

@@ -22,14 +22,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .cycles import find_positive_cycle, relax_potentials
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteEntryError,
-    NotCyclicallyMonotoneError,
-    PreconditionError,
-)
-from .instances import CutVector, Matching, Matrix, _coerce_matrix
-from .tolerance import DEFAULT_EPS
+from .errors import NonFiniteEntryError, NotCyclicallyMonotoneError, PreconditionError
+from .instances import CutVector, Matching, _check_fits, _coerce_matrix
+from .tolerance import DEFAULT_EPS, UNIT_ROUNDOFF
 
 # Tight-edge guard in units of n * max(1, max|theta|) ulps: enough for the
 # rounding of potentials summed along chains of up to n hops.
@@ -53,21 +48,30 @@ class ChainWitness:
         return False
 
 
-def _as_square(theta, name: str = "theta") -> Matrix:
+def _square(theta, matching: Matching | None = None, cuts: CutVector | None = None) -> np.ndarray:
+    """``theta`` validated as a square float array; the matching and the
+    cuts, when given, must fit its size."""
     rows = list(theta)
-    return _coerce_matrix(rows, len(rows), name)
+    n = len(rows)
+    arr = np.array(_coerce_matrix(rows, n, "theta"), dtype=float).reshape(n, n)
+    if matching is not None:
+        _check_fits(n, matching, cuts)
+    return arr
 
 
-def _chain_weights(theta: Matrix, matching: Matching) -> list[list[float]]:
+def _chain_weights(arr: np.ndarray, matching: Matching) -> list[list[float]]:
     """weights[a][b]: gain for couple a's man taking couple b's woman."""
-    n = len(theta)
-    assignment = matching.assignment
-    out = []
-    for a in range(n):
-        row = theta[a]
-        own = row[assignment[a]]
-        out.append([row[assignment[b]] - own for b in range(n)])
-    return out
+    assignment = np.asarray(matching.assignment)
+    own = arr[np.arange(len(arr)), assignment]
+    with np.errstate(over="ignore"):
+        return (arr[:, assignment] - own[:, None]).tolist()
+
+
+def _underpaid(arr: np.ndarray, cuts: CutVector, eps: float) -> np.ndarray:
+    """Mask of the pairs whose reward exceeds their two cuts by more than eps."""
+    u, v = np.array(cuts.u), np.array(cuts.v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return u[:, None] + v[None, :] < arr - eps
 
 
 def optimal_assignment(
@@ -85,14 +89,11 @@ def optimal_assignment(
     predicate, so the result does not depend on ``eps``; the keyword is
     accepted for symmetry with the predicates.
     """
-    mat = _as_square(theta)
-    n = len(mat)
-    arr = np.asarray(mat, dtype=float).reshape(n, n)
+    arr = _square(theta)
     _, cols = linear_sum_assignment(arr, maximize=True)
     chosen = _lex_first_perfect_matching(_tight_edges(arr, cols), cols.tolist())
-    matching = Matching(tuple(chosen))
-    value = sum(mat[i][chosen[i]] for i in range(n))
-    return matching, value
+    # Python floats summed left to right: the CLI prints this value's repr
+    return Matching(tuple(chosen)), sum(arr[np.arange(len(arr)), chosen].tolist())
 
 
 def _chain_distances(
@@ -127,7 +128,7 @@ def _tight_edges(arr: np.ndarray, assignment: np.ndarray) -> np.ndarray:
         v = np.empty(n)
         v[assignment] = own - u
         scale = n * max(1.0, float(np.abs(arr).max(initial=0.0)))
-        tight = u[:, None] + v[None, :] - arr <= _TIGHT_ULPS * np.finfo(float).eps * scale
+        tight = u[:, None] + v[None, :] - arr <= 2 * _TIGHT_ULPS * UNIT_ROUNDOFF * scale
     tight[rows, assignment] = True
     return tight
 
@@ -184,9 +185,7 @@ def is_cyclically_monotone(
     Otherwise returns a ChainWitness (which is falsy) carrying one
     violating cycle and its gain.
     """
-    mat = _as_square(theta)
-    _check_sizes(mat, matching)
-    found = find_positive_cycle(_chain_weights(mat, matching), eps)
+    found = find_positive_cycle(_chain_weights(_square(theta, matching), matching), eps)
     if found is None:
         return True
     cycle, gain = found
@@ -207,11 +206,8 @@ def chain_potentials(theta: Sequence[Sequence[float]], matching: Matching) -> li
     NonFiniteEntryError, naming the entry as CutVector would, when it
     settles on a potential beyond the float range.
     """
-    mat = _as_square(theta)
-    _check_sizes(mat, matching)
-    n = len(mat)
-    arr = np.asarray(mat, dtype=float).reshape(n, n)
-    dist, settled = _chain_distances(arr, np.asarray(matching.assignment), 4 * n)
+    arr = _square(theta, matching)
+    dist, settled = _chain_distances(arr, np.asarray(matching.assignment), 4 * len(arr))
     if not settled:
         raise NotCyclicallyMonotoneError(_DIVERGED)
     lost = np.flatnonzero(~np.isfinite(dist))
@@ -236,34 +232,31 @@ def dual_cuts(
     to name a witness chain; without one, an unsettled relaxation is
     reported as divergence.  Large rewards or ``eps`` = 0 always run it.
     """
-    mat = _as_square(theta)
-    _check_sizes(mat, matching)
-    n = len(mat)
-    arr = np.asarray(mat, dtype=float).reshape(n, n)
-    dist, settled = _chain_distances(arr, np.asarray(matching.assignment), 4 * n)
+    arr = _square(theta, matching)
+    n = len(arr)
+    assignment = np.asarray(matching.assignment)
+    dist, settled = _chain_distances(arr, assignment, 4 * n)
     u_raw = (-dist).tolist()
     anchor = min(u_raw)
     u = [x - anchor for x in u_raw]
     v = [0.0] * n
-    for i in range(n):
-        woman = matching.assignment[i]
-        v[woman] = mat[i][woman] - u[i]
+    for i, own in enumerate(arr[np.arange(n), assignment].tolist()):
+        v[matching.assignment[i]] = own - u[i]
     # With s = u + v - theta, a chain's gain telescopes to the sum over its
     # couples of s(own pair) - s(pair taken).  Own slacks are within one
     # rounding of size = max|theta| + max|u| + max|v| of zero, computed
     # slacks within three of exact, and the detector's float sums of up to
     # n hops within 2 n^2 roundings of the widest row range: so no chain
     # the detector computes gains more than n * (margin - min slack).
-    unit = np.finfo(float).eps / 2
     with np.errstate(over="ignore", invalid="ignore"):
         size = np.abs(arr).max() + np.abs(u).max() + np.abs(v).max()
-        margin = unit * (4 * size + 2 * n * np.ptp(arr, axis=1).max())
-        bound = n * (margin - (np.add.outer(u, v) - arr).min()) * (1 + 8 * unit)
+        margin = UNIT_ROUNDOFF * (4 * size + 2 * n * np.ptp(arr, axis=1).max())
+        bound = n * (margin - (np.add.outer(u, v) - arr).min()) * (1 + 8 * UNIT_ROUNDOFF)
     if not (settled and bound <= eps):
-        witness = is_cyclically_monotone(mat, matching, eps=eps)
-        if witness is not True:
+        found = find_positive_cycle(_chain_weights(arr, matching), eps)
+        if found is not None:
             raise NotCyclicallyMonotoneError(
-                f"matching admits blocking chain {witness.cycle} with gain {witness.gain}"
+                f"matching admits blocking chain {found[0]} with gain {found[1]}"
             )
         if not settled:
             raise NotCyclicallyMonotoneError(_DIVERGED)
@@ -278,23 +271,11 @@ def verify_ft_core(
     eps: float = DEFAULT_EPS,
 ) -> bool:
     """Exact split on matched pairs, no pair underpaid anywhere else."""
-    mat = _as_square(theta)
-    _check_sizes(mat, matching)
-    if cuts.n != len(mat):
-        raise DimensionMismatchError(f"cut vector size {cuts.n} does not fit n={len(mat)}")
-    n = len(mat)
-    u, v = cuts.u, cuts.v
-    for i in range(n):
-        wi = matching.assignment[i]
-        if abs(u[i] + v[wi] - mat[i][wi]) > eps:
-            return False
-    for i in range(n):
-        ui = u[i]
-        row = mat[i]
-        for j in range(n):
-            if ui + v[j] < row[j] - eps:
-                return False
-    return True
+    arr = _square(theta, matching, cuts)
+    rows, cols = np.arange(len(arr)), np.asarray(matching.assignment)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = np.array(cuts.u) + np.array(cuts.v)[cols] - arr[rows, cols]
+        return not (np.abs(slack) > eps).any() and not _underpaid(arr, cuts, eps).any()
 
 
 def check_optimality_of_cuts(
@@ -312,27 +293,21 @@ def check_optimality_of_cuts(
     The minimal feasible total equals the optimal assignment value, so
     the check compares against that within n*eps.
     """
-    mat = _as_square(theta)
-    _check_sizes(mat, matching)
-    if cuts.n != len(mat):
-        raise DimensionMismatchError(f"cut vector size {cuts.n} does not fit n={len(mat)}")
-    n = len(mat)
-    u, v = cuts.u, cuts.v
-    for i in range(n):
-        ui = u[i]
-        row = mat[i]
-        for j in range(n):
-            if ui + v[j] < row[j] - eps:
-                raise PreconditionError(
-                    f"cuts are infeasible: u[{i}]+v[{j}] = {ui + v[j]} < theta = {row[j]}"
-                )
-    _, best = optimal_assignment(mat, eps=eps)
-    return abs(cuts.total() - best) <= max(n, 1) * eps
+    arr = _square(theta, matching, cuts)
+    under = np.argwhere(_underpaid(arr, cuts, eps))
+    if under.size:
+        i, j = under[0].tolist()
+        raise PreconditionError(
+            f"cuts are infeasible: u[{i}]+v[{j}] = {cuts.u[i] + cuts.v[j]} "
+            f"< theta = {float(arr[i, j])}"
+        )
+    _, best = optimal_assignment(arr.tolist(), eps=eps)
+    return abs(cuts.total() - best) <= max(len(arr), 1) * eps
 
 
 def bruteforce_max_matching(theta: Sequence[Sequence[float]]) -> tuple[Matching, float]:
     """Oracle: maximum over all n! assignments by direct enumeration."""
-    mat = _as_square(theta)
+    mat = _square(theta).tolist()
     n = len(mat)
     best_perm = None
     best_value = -float("inf")
@@ -342,10 +317,3 @@ def bruteforce_max_matching(theta: Sequence[Sequence[float]]) -> tuple[Matching,
             best_value = value
             best_perm = perm
     return Matching(best_perm), best_value
-
-
-def _check_sizes(mat: Matrix, matching: Matching) -> None:
-    if matching.n != len(mat):
-        raise DimensionMismatchError(
-            f"matching size {matching.n} does not fit matrix size {len(mat)}"
-        )

@@ -269,6 +269,13 @@ class TestCounterexampleFlow:
         )
         assert result.exit_code == 2
 
+    def test_nan_level_exit_2(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["counterexample", "--p", "nan", "--q", "0.5", "--out", str(tmp_path / "x")]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: p must lie in [0, 1], got nan\n"
+
 
 class TestSweep:
     def test_row_count_and_determinism(self, runner, tmp_path):
@@ -447,6 +454,19 @@ class TestHygiene:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
         assert "theta_m[0][0] is not finite" in result.output
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["check", "--p", "0", "--q", "0"], ["core", "--model", "fnt"], ["core", "--model", "ft"]],
+    )
+    def test_wrong_size_matching_check_and_core_exit_2(self, runner, boxed_file, tmp_path, extra):
+        matching = write_matching(tmp_path, "three.json", (0, 2, 1))
+        args = extra + ["--instance", boxed_file, "--matching", matching]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert result.stdout == ""
+        assert result.stderr == "error: matching size 3 does not fit instance size 2\n"
 
     @pytest.mark.parametrize("command", ["check", "core"])
     def test_bad_eps_env_check_and_core_exit_2(self, runner, boxed_file, tmp_path, monkeypatch, command):

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchkit import (
+    BargainingModel,
     CutVector,
     DimensionMismatchError,
     DomainError,
@@ -19,13 +21,28 @@ from matchkit import (
     PreferenceProfile,
     SplitMix64,
     Uniform01,
+    canonical_fnt_cuts,
+    chain_potentials,
+    check_optimality_of_cuts,
+    check_pq_monotonicity,
+    clip_p,
     combined_rewards,
+    counterexample_instance,
+    delta_q,
+    delta_r,
+    dual_cuts,
+    find_fnt_blocking_pairs,
+    find_pq_blocking_chain,
+    is_cyclically_monotone,
     parse_instance,
     parse_matching,
     preference_orders,
     random_instance,
+    search_core,
     serialize_instance,
     serialize_matching,
+    verify_core_point,
+    verify_ft_core,
 )
 
 from conftest import BOXED_THETA_M, BOXED_THETA_W, ranking_corpus
@@ -279,3 +296,63 @@ class TestDomainTypes:
         inst = random_instance(3, seed)
         swapped = Instance(3, inst.theta_w, inst.theta_m)
         assert combined_rewards(inst) == combined_rewards(swapped)
+
+
+# Every engine that takes a matching, as f(inst, matching, cuts).
+MATCHING_ENGINES = {
+    "is_cyclically_monotone": lambda inst, m, c: is_cyclically_monotone(combined_rewards(inst), m),
+    "chain_potentials": lambda inst, m, c: chain_potentials(combined_rewards(inst), m),
+    "dual_cuts": lambda inst, m, c: dual_cuts(combined_rewards(inst), m),
+    "verify_ft_core": lambda inst, m, c: verify_ft_core(combined_rewards(inst), m, c),
+    "check_optimality_of_cuts": lambda inst, m, c: check_optimality_of_cuts(
+        combined_rewards(inst), m, c
+    ),
+    "find_fnt_blocking_pairs": lambda inst, m, c: find_fnt_blocking_pairs(inst, m),
+    "delta_q": lambda inst, m, c: delta_q(inst, m, 0, 1, 0.5),
+    "find_pq_blocking_chain": lambda inst, m, c: find_pq_blocking_chain(
+        inst, m, PQParams(0.5, 0.5)
+    ),
+    "check_pq_monotonicity": lambda inst, m, c: check_pq_monotonicity(inst, m, 3),
+    "verify_core_point": lambda inst, m, c: verify_core_point(BargainingModel("ft"), inst, m, c),
+    "canonical_fnt_cuts": lambda inst, m, c: canonical_fnt_cuts(inst, m),
+    "search_core": lambda inst, m, c: search_core(BargainingModel("ft"), inst, m),
+}
+CUT_ENGINES = ("verify_ft_core", "check_optimality_of_cuts", "verify_core_point")
+
+# Every guarded sharing level, as (its name, f(value)).
+BOXED = Instance(2, BOXED_THETA_M, BOXED_THETA_W)
+LEVEL_GUARDS = {
+    "clip_p": ("p", lambda x: clip_p(-1.0, x)),
+    "delta_q": ("q", lambda x: delta_q(BOXED, Matching((0, 1)), 0, 1, x)),
+    "delta_r": ("r", lambda x: delta_r(1.0, 2.0, x)),
+    "PQParams.p": ("p", lambda x: PQParams(x, 0.5)),
+    "PQParams.q": ("q", lambda x: PQParams(0.5, x)),
+    "counterexample_instance.p": ("p", lambda x: counterexample_instance(x, 1.0)),
+    "counterexample_instance.q": ("q", lambda x: counterexample_instance(0.0, x)),
+}
+
+
+class TestGuards:
+    @pytest.mark.parametrize("engine", sorted(MATCHING_ENGINES))
+    def test_wrong_size_matching(self, engine, boxed):
+        cuts = CutVector((0.0, 0.0), (0.0, 0.0))
+        with pytest.raises(
+            DimensionMismatchError, match=r"^matching size 3 does not fit instance size 2$"
+        ):
+            MATCHING_ENGINES[engine](boxed, Matching((0, 2, 1)), cuts)
+
+    @pytest.mark.parametrize("engine", CUT_ENGINES)
+    def test_wrong_size_cuts(self, engine, boxed, identity2):
+        cuts = CutVector((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        with pytest.raises(
+            DimensionMismatchError, match=r"^cut vector size 3 does not fit instance size 2$"
+        ):
+            MATCHING_ENGINES[engine](boxed, identity2, cuts)
+
+    @pytest.mark.parametrize("value", [math.nan, -0.1, 1.5, True], ids=repr)
+    @pytest.mark.parametrize("guard", sorted(LEVEL_GUARDS))
+    def test_sharing_level_outside_unit_interval(self, guard, value):
+        name, call = LEVEL_GUARDS[guard]
+        text = f"{name} must lie in [0, 1], got {value}"
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            call(value)

@@ -403,7 +403,52 @@ class TestCounterexample:
             assert find_pq_blocking_chain(inst, Matching(assignment), pq) is not True
 
 
+def four_loop_monotone(stable):
+    """Reference: every cell at or above a stable cell's p and at or below
+    its q is stable, checked against every such cell."""
+    g = len(stable)
+    for ip in range(g):
+        for iq in range(g):
+            if not stable[ip][iq]:
+                continue
+            for ip2 in range(ip, g):
+                for iq2 in range(iq + 1):
+                    if not stable[ip2][iq2]:
+                        return False
+    return True
+
+
+def seeded_grid(steps, rng, flips):
+    """A stable-cell grid: an upper-left set (each p row stable below a
+    threshold in q that never falls as p grows) with up to ``flips``
+    random cells flipped, so both monotone and non-monotone grids occur."""
+    thresholds = sorted(rng.randint(0, steps) for _ in range(steps))
+    grid = [[iq < t for iq in range(steps)] for t in thresholds]
+    for _ in range(rng.randint(0, flips)):
+        ip, iq = rng.randint(0, steps - 1), rng.randint(0, steps - 1)
+        grid[ip][iq] = not grid[ip][iq]
+    return grid
+
+
 class TestMonotonicityTheorem:
+    def test_neighbour_test_matches_four_loops(self, monkeypatch, boxed, identity2):
+        rng = SplitMix64(46)
+        grid = []
+
+        def cell_verdict(inst, matching, pq, eps):
+            denom = len(grid) - 1
+            return grid[round(pq.p * denom)][round(pq.q * denom)]
+
+        monkeypatch.setattr(partial_transfer, "find_pq_blocking_chain", cell_verdict)
+        verdicts = []
+        for trial in range(400):
+            # every third grid has as many flips as cells: close to uniform
+            steps = 2 + trial % 6
+            grid[:] = seeded_grid(steps, rng, steps * steps if trial % 3 == 0 else 2)
+            verdicts.append(check_pq_monotonicity(boxed, identity2, len(grid)))
+            assert verdicts[-1] == four_loop_monotone(grid), grid
+        assert 100 < sum(verdicts) < 300
+
     def test_boxed_identity_full_grid(self, boxed, identity2):
         assert check_pq_monotonicity(boxed, identity2, 11)
 
