@@ -333,9 +333,13 @@ def _accelerate(bounds, u: list, pred: list, start: int) -> None:
 
     On the pieces they follow just below the head's value x0, the bounds
     compose to x -> A*x + B down to the highest breakpoint L they meet.
-    On [L, x0] the cycle allows the head up to B/(1 - A) when A < 1, and
-    nowhere when A >= 1 and the cycle lowers x0: then the head lies below
-    L, or there is no core point (L = -inf, or L = x0 at a wall).
+    Each man on the cycle was last lowered by his predecessor's bound, at
+    no less than the predecessor's value now.  Bounds strictly increase
+    where finite, except ft_nonneg's, flat below 0 but never finite below
+    0: so the composition is finite and lowers x0.  On [L, x0] the cycle
+    allows the head up to B/(1 - A) when A < 1, and nowhere when A >= 1:
+    then the head lies below L, or there is no core point (L = -inf, or
+    L = x0 at a wall).
     """
     head = start
     for _ in u:  # n steps back from a lowered man end on a cycle
@@ -350,16 +354,12 @@ def _accelerate(bounds, u: list, pred: list, start: int) -> None:
     for k, m in enumerate(cycle):
         bound = bounds[m][cycle[(k + 1) % len(cycle)]]
         r = bound(t)
-        if r == math.inf:
-            return
         if r == -math.inf:
             raise _NoCore
         a, b, lo = bound.piece(t)
         if A > 0 and lo > -math.inf:
             L = max(L, (lo - B) / A)
         t, A, B = r, a * A, a * B + b
-    if t >= x0:
-        return
     if A < 1 and B / (1 - A) >= L:
         u[head] = B / (1 - A)
     elif L == -math.inf or L == x0:

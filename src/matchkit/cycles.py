@@ -11,7 +11,7 @@ answers it in three stages.
    exceeds k*eps/n <= eps, and relaxation runs in place from all nodes
    at potential zero for at most n + 1 passes.  A pass that changes no
    distance settles the question: no cycle beats eps (up to the
-   rounding of the distances, which callers bound).  A pass that changes
+   rounding of the distances, ``_settle_error``).  A pass that changes
    nothing while some distance is -inf settles nothing: -inf < -inf is
    false, so an overflowed relaxation stops moving whether or not a
    cycle gains.
@@ -23,7 +23,7 @@ answers it in three stages.
    shifted test saw a cycle gaining between k*eps/n and eps, or rounding
    blurred one.  A simple cycle leaves each node once and enters it
    once, so no cycle gains more than the smaller of the row-wise and
-   column-wise sums of positive maxima; when that bound, plus a gamma_2n
+   column-wise sums of positive maxima; when that bound, plus a gamma_4n
    rounding allowance, is at most eps, no cycle's float re-sum can beat
    eps and the answer is None.  Otherwise the maximum-weight cycle cover
    (``linear_sum_assignment`` with a zero diagonal) is taken, and its
@@ -50,7 +50,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import SizeLimitError
-from .tolerance import UNIT_ROUNDOFF
+from .tolerance import rounding_bound
 
 _BRUTE_FORCE_LIMIT = 10
 
@@ -116,16 +116,14 @@ def _cycle_cover(weights: WeightMatrix, eps: float) -> Found | None:
     arr = np.array(weights, dtype=float)
     np.fill_diagonal(arr, 0.0)
     # Rounding is monotone, so a cycle's float sum is at most the float sum
-    # of its nodes' positive maxima: within gamma_{n-1} of the exact sum,
-    # itself within gamma_{n-1} of the computed bound, where gamma_k =
-    # k*u / (1 - k*u) (Higham, 2002, section 3.1).  Twice gamma_{2n} covers
-    # both and the last two roundings.
-    gamma = 2 * n * UNIT_ROUNDOFF / (1.0 - 2 * n * UNIT_ROUNDOFF)
+    # of its nodes' positive maxima, which lies within gamma_{n-1} of its
+    # exact value, as does the computed bound.  gamma_{4n} covers both and
+    # the last two roundings.
     positive = np.fmax(arr, 0.0)
     with np.errstate(over="ignore"):
         bound = min(positive.max(axis=1).sum(), positive.max(axis=0).sum())
-    if bound + 2.0 * gamma * bound <= eps:
-        return None
+        if bound + rounding_bound(4 * n, bound) <= eps:
+            return None
     if np.isfinite(arr).all():
         _, succ = linear_sum_assignment(arr, maximize=True)
         step = [-1 if b == a else int(b) for a, b in enumerate(succ)]
@@ -135,6 +133,21 @@ def _cycle_cover(weights: WeightMatrix, eps: float) -> Found | None:
     if n <= _BRUTE_FORCE_LIMIT:
         return best_cycle_bruteforce(weights, eps)
     return None
+
+
+def _settle_error(n: int, max_weight: float, eps: float) -> float:
+    """Cycle gain that a settling relaxation can hide, weights at most
+    ``max_weight`` in magnitude: distances stay within (n + 2)**2 * (eps +
+    max_weight), and a pass that changes nothing holds each hop of a cycle
+    up to one rounding of its distance sum and one of its shifted cost."""
+    return rounding_bound(2 * n, (n + 2) ** 2 * (eps + max_weight))
+
+
+def _resum_error(n: int, max_weight: float) -> float:
+    """How far a gain re-summed over at most n weights of magnitude at most
+    ``max_weight`` can sit from their exact sum: gamma_{n-1} of n *
+    max_weight, doubled to cover one rounding inside each weight too."""
+    return rounding_bound(2 * n, n * max_weight)
 
 
 def find_positive_cycle(weights: WeightMatrix, eps: float) -> Found | None:

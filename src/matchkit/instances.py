@@ -31,8 +31,9 @@ from .rng import Distribution, SplitMix64, Uniform01
 
 Matrix = tuple[tuple[float, ...], ...]
 
-# Entry types a row may hold to skip the per-entry check (bool excluded).
-_PLAIN_NUMBERS = {int, float}
+# Entry types a row may hold to skip the per-entry check (bool excluded);
+# np.float64 subclasses float, so float() converts it as _coerce_row would.
+_PLAIN_NUMBERS = {int, float, np.float64}
 
 
 def _coerce_matrix(rows, n: int, name: str) -> Matrix:

@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .cycles import find_positive_cycle
+from .cycles import _settle_error, find_positive_cycle
 from .errors import DomainError, SizeLimitError
 from .instances import (
     Instance, Matching, PQParams, _check_fits, _check_unit_interval, _lex_search, random_instance
 )
 from .rng import SplitMix64, Uniform01, derive_seed
-from .tolerance import DEFAULT_EPS, UNIT_ROUNDOFF
+from .tolerance import DEFAULT_EPS
 
 ORACLE_LIMIT = 8
 SWEEP_LIMIT = 6
@@ -141,17 +141,13 @@ def exists_pq_stable(
     if n > ORACLE_LIMIT:
         raise SizeLimitError(f"existence oracle limited to n <= {ORACLE_LIMIT}, got {n}")
     p, q = pq.p, pq.q
-    # On a full matching the detector's Bellman-Ford distances stay within
-    # (n + 2)**2 * big, big bounding every weight plus eps, so its rounding
-    # hides less than ``slack`` of a cycle's gain: a cycle beating eps +
-    # slack keeps it from settling, and an unsettled detector on at most
-    # 10 couples reports a cycle.  An overflow makes slack inf and cuts
-    # nothing.
+    # A cycle beating eps + slack keeps the detector from settling on a full
+    # matching, whose weights are at most 4 reward spreads, and an unsettled
+    # detector on at most 10 couples reports a cycle.
     slack = 0.0  # prefixes are checked from n = 4 up
     if n >= 4:
         rows = inst.theta_m + inst.theta_w
-        big = eps + 4.0 * (max(map(max, rows)) - min(map(min, rows)))
-        slack = 2 * n * UNIT_ROUNDOFF * ((n + 2) ** 2 * big)
+        slack = _settle_error(n, 4.0 * (max(map(max, rows)) - min(map(min, rows))), eps)
 
     def admits(prefix: tuple[int, ...]) -> bool:
         found = find_positive_cycle(_pq_weights(inst, prefix, p, q), eps)

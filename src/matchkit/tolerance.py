@@ -22,6 +22,13 @@ UNIT_ROUNDOFF = 2.0**-53
 _ENV_VAR = "MATCHKIT_EPS"
 
 
+def rounding_bound(k: int, magnitude: float) -> float:
+    """gamma_k * magnitude, gamma_k = k*u / (1 - k*u): the most k roundings
+    can move a result whose terms' magnitudes sum to at most ``magnitude``,
+    barring overflow and underflow (Higham, 2002, section 3.1)."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF) * magnitude
+
+
 def resolve_eps() -> float:
     """Tolerance for CLI runs: MATCHKIT_EPS if set, else the default."""
     raw = os.environ.get(_ENV_VAR)

@@ -21,14 +21,10 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cycles import find_positive_cycle, relax_potentials
+from .cycles import _resum_error, find_positive_cycle, relax_potentials
 from .errors import NonFiniteEntryError, NotCyclicallyMonotoneError, PreconditionError
 from .instances import CutVector, Matching, _check_fits, _coerce_matrix
-from .tolerance import DEFAULT_EPS, UNIT_ROUNDOFF
-
-# Tight-edge guard in units of n * max(1, max|theta|) ulps: enough for the
-# rounding of potentials summed along chains of up to n hops.
-_TIGHT_ULPS = 32
+from .tolerance import DEFAULT_EPS, rounding_bound
 
 _DIVERGED = "chain potentials diverge: a blocking chain exists"
 
@@ -84,10 +80,12 @@ def optimal_assignment(
     assignments are exactly the perfect matchings of the tight edges
     u[i] + v[j] = theta[i][j].  Among tied optima the lexicographically
     smallest assignment is returned, read off that tight-edge graph row
-    by row.  Tightness is tested to a few dozen ulps of
-    n * max(1, max|theta|), an arithmetic guard rather than a stability
-    predicate, so the result does not depend on ``eps``; the keyword is
-    accepted for symmetry with the predicates.
+    by row.  Tightness is tested to 64 roundings of n * max(1, max|theta|),
+    enough for potentials summed along chains of up to n hops.  That is a
+    tie rule, not a worst-case bound (a wider one would accept matchings
+    more than eps below the optimum), nor a stability predicate, so the
+    result does not depend on ``eps``; the keyword is accepted for
+    symmetry with the predicates.
     """
     arr = _square(theta)
     _, cols = linear_sum_assignment(arr, maximize=True)
@@ -128,7 +126,7 @@ def _tight_edges(arr: np.ndarray, assignment: np.ndarray) -> np.ndarray:
         v = np.empty(n)
         v[assignment] = own - u
         scale = n * max(1.0, float(np.abs(arr).max(initial=0.0)))
-        tight = u[:, None] + v[None, :] - arr <= 2 * _TIGHT_ULPS * UNIT_ROUNDOFF * scale
+        tight = u[:, None] + v[None, :] - arr <= rounding_bound(64, scale)
     tight[rows, assignment] = True
     return tight
 
@@ -230,7 +228,8 @@ def dual_cuts(
     bound, rounding included, every chain gain the cycle detector could
     compute by ``eps``, they are returned.  Otherwise the detector runs
     to name a witness chain; without one, an unsettled relaxation is
-    reported as divergence.  Large rewards or ``eps`` = 0 always run it.
+    reported as divergence.  Large rewards always run it, and so does
+    ``eps`` = 0 unless the table holds small integers.
     """
     arr = _square(theta, matching)
     n = len(arr)
@@ -244,15 +243,20 @@ def dual_cuts(
         v[matching.assignment[i]] = own - u[i]
     # With s = u + v - theta, a chain's gain telescopes to the sum over its
     # couples of s(own pair) - s(pair taken).  Own slacks are within one
-    # rounding of size = max|theta| + max|u| + max|v| of zero, computed
-    # slacks within three of exact, and the detector's float sums of up to
-    # n hops within 2 n^2 roundings of the widest row range: so no chain
-    # the detector computes gains more than n * (margin - min slack).
+    # rounding of size = max|theta| + max|u| + max|v| of zero and computed
+    # slacks within three of exact, and the detector re-sums weights within
+    # the row ranges: no chain it computes gains more than ``bound``.
     with np.errstate(over="ignore", invalid="ignore"):
         size = np.abs(arr).max() + np.abs(u).max() + np.abs(v).max()
-        margin = UNIT_ROUNDOFF * (4 * size + 2 * n * np.ptp(arr, axis=1).max())
-        bound = n * (margin - (np.add.outer(u, v) - arr).min()) * (1 + 8 * UNIT_ROUNDOFF)
-    if not (settled and bound <= eps):
+        bound = rounding_bound(4, n * size) - n * (np.add.outer(u, v) - arr).min()
+        bound += _resum_error(n, np.ptp(arr, axis=1).max())
+        bound += rounding_bound(16, abs(bound))  # the roundings of the bound itself
+    # On integer tables with 64 n max|theta| <= 2**53, every distance (a walk
+    # of at most 4n hops), cut and slack is an integer below 2**53, so floats
+    # hold it exactly and a settled relaxation certifies with no rounding term.
+    if not (
+        settled and (bound <= eps or np.abs(arr).max() <= 2.0**47 / n and (arr % 1 == 0).all())
+    ):
         found = find_positive_cycle(_chain_weights(arr, matching), eps)
         if found is not None:
             raise NotCyclicallyMonotoneError(

@@ -230,10 +230,14 @@ class TestGen:
         assert all(0 <= x <= 9 for row in inst.theta_m + inst.theta_w for x in row)
 
     def test_bad_dist_exit_2(self, runner, tmp_path):
-        result = runner.invoke(
-            main, ["gen", "--n", "3", "--seed", "2", "--dist", "pareto", "--out", str(tmp_path / "x")]
-        )
-        assert result.exit_code == 2
+        for dist in ("pareto", "int:a:b"):
+            args = ["gen", "--n", "3", "--seed", "2", "--dist", dist, "--out", str(tmp_path / "x")]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+            assert result.stderr == (
+                f"error: unknown distribution {dist!r}; expected uniform01 or int:LO:HI\n"
+            )
 
     def test_rejects_zero_size(self, runner, tmp_path):
         result = runner.invoke(

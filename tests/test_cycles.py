@@ -2,17 +2,26 @@
 cycle-cover bound, and the enumeration that is left for the knife edge."""
 
 import math
+from fractions import Fraction
+from itertools import combinations, permutations
+from pathlib import Path
+
+import numpy as np
 
 import matchkit.cycles as cycles
 from matchkit import (
     Instance,
     Matching,
+    MatchkitError,
     PQParams,
     SplitMix64,
     derive_seed,
+    dual_cuts,
     exists_pq_stable,
     find_pq_blocking_chain,
     is_cyclically_monotone,
+    optimal_assignment,
+    transferable,
 )
 from matchkit.cycles import best_cycle_bruteforce, find_positive_cycle
 
@@ -140,3 +149,114 @@ class TestKnifeEdge:
             found = exists_pq_stable(inst, PQParams(1.0, 1.0))
             assert found.assignment == tuple(range(8))
         assert enumerations == []
+
+
+# Near-limit palette: signed zero and subnormals, gains just under eps,
+# unit and 1e8 rewards, and magnitudes whose sums overflow.
+PALETTE = (
+    0.0, 5e-324, -5e-324, 4e-10, -4e-10, 6e-10, -6e-10, 1.0, -1.0, 1e8, -1e8,
+    1e300, -1e300, 8.9e307, -8.9e307, 1e308, -1e308,
+)
+
+
+def rounding_corpus(count, tag):
+    """Seeded n = 2..6 matrices, one in three uniform in [-1, 1), the rest
+    drawn from PALETTE, most from a few of its entries so sums cancel."""
+    rng = SplitMix64(derive_seed(85, tag))
+    for k in range(count):
+        n = 2 + k % 5
+        few = [PALETTE[rng.randint(0, len(PALETTE) - 1)] for _ in range(1 + k % 4)]
+
+        def draw():
+            if k % 3 == 0:
+                return 2.0 * rng.uniform01() - 1.0
+            return few[rng.randint(0, len(few) - 1)]
+
+        yield [[draw() for _ in range(n)] for _ in range(n)]
+
+
+def float_gains(weights):
+    """Every simple cycle, from its smallest node, with its float gain."""
+    n = len(weights)
+    return [
+        (cycle, resum(weights, list(cycle)))
+        for size in range(2, n + 1)
+        for nodes in combinations(range(n), size)
+        for cycle in ((nodes[0],) + rest for rest in permutations(nodes[1:]))
+    ]
+
+
+def max_weight(weights):
+    return max(abs(w) for a, row in enumerate(weights) for b, w in enumerate(row) if a != b)
+
+
+COUNT = 3500  # matrices per property: under 3 s in all
+
+
+class TestRoundingModel:
+    """Each rounding allowance against exact arithmetic on n <= 6."""
+
+    def test_one_module_holds_the_rounding_model(self):
+        for path in sorted(Path(cycles.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            assert "_TIGHT_ULPS" not in text, path.name
+            if path.name != "tolerance.py":
+                assert "UNIT_ROUNDOFF" not in text and "finfo" not in text, path.name
+
+    def test_detector_bounds(self):
+        checked = 0
+        for weights in rounding_corpus(COUNT, 0):
+            n, big = len(weights), max_weight(weights)
+            best = max(gain for _, gain in float_gains(weights))
+            resum_error = cycles._resum_error(n, big)
+            for eps in (EPS, 0.0):
+                found = find_positive_cycle(weights, eps)
+                # (a) a settling relaxation hides at most _settle_error
+                if best > eps + cycles._settle_error(n, big, eps):
+                    assert found is not None, (weights, eps)
+                # (b) a reported gain is its re-sum, within _resum_error of exact
+                if found is not None and math.isfinite(found[1]) and math.isfinite(resum_error):
+                    cycle = found[0]
+                    hops = zip(cycle, cycle[1:] + cycle[:1])
+                    exact = sum(Fraction(weights[a][b]) for a, b in hops)
+                    assert abs(Fraction(found[1]) - exact) <= Fraction(resum_error), weights
+                    checked += 1
+        assert checked > 100
+
+    def test_cover_bound_skips_only_gainless_graphs(self, monkeypatch):
+        covers = count_calls(monkeypatch, cycles, "best_cycle_bruteforce")
+        solves = []
+        inner = cycles.linear_sum_assignment
+        monkeypatch.setattr(
+            cycles, "linear_sum_assignment", lambda *a, **k: solves.append(1) or inner(*a, **k)
+        )
+        skipped = 0
+        for weights in rounding_corpus(COUNT, 1):
+            for eps in (EPS, 0.0):
+                del covers[:], solves[:]
+                if cycles._cycle_cover(weights, eps) is None and not covers and not solves:
+                    # (c) the bound said no cycle can beat eps
+                    skipped += 1
+                    assert all(gain <= eps for _, gain in float_gains(weights)), (weights, eps)
+        assert skipped > 100
+
+    def test_dual_cuts_certifies_only_without_gaining_chains(self, monkeypatch):
+        detector = count_calls(monkeypatch, transferable, "find_positive_cycle")
+        certified = 0
+        for theta in rounding_corpus(COUNT, 2):
+            try:
+                matching = optimal_assignment(theta)[0]
+            except MatchkitError:
+                continue
+            chains = transferable._chain_weights(np.array(theta), matching)
+            for eps in (EPS, 0.0):
+                del detector[:]
+                try:
+                    dual_cuts(theta, matching, eps=eps)
+                except MatchkitError:
+                    continue
+                if not detector:
+                    # (d) a certificate issued without the detector is sound
+                    certified += 1
+                    assert all(gain <= eps for _, gain in float_gains(chains)), (theta, eps)
+        assert certified > 100

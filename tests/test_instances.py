@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,13 +19,16 @@ from matchkit import (
     InvalidMatchingError,
     MalformedInputError,
     Matching,
+    MatchkitError,
     NonFiniteEntryError,
     PQParams,
     PreferenceProfile,
+    SizeLimitError,
     SplitMix64,
     Uniform01,
     canonical_fnt_cuts,
     chain_potentials,
+    check_assumption,
     check_optimality_of_cuts,
     check_pq_monotonicity,
     clip_p,
@@ -33,17 +39,24 @@ from matchkit import (
     dual_cuts,
     find_fnt_blocking_pairs,
     find_pq_blocking_chain,
+    gale_shapley,
+    in_feasible_set,
     is_cyclically_monotone,
+    mixed_instance_stream,
+    optimal_assignment,
     parse_instance,
     parse_matching,
+    pq_plane_sweep,
     preference_orders,
     random_instance,
+    resolve_eps,
     search_core,
     serialize_instance,
     serialize_matching,
     verify_core_point,
     verify_ft_core,
 )
+from matchkit.cycles import best_cycle_bruteforce
 
 from conftest import BOXED_THETA_M, BOXED_THETA_W, ranking_corpus
 
@@ -241,6 +254,27 @@ class TestSerialization:
         inst = Instance(2, ((0.5, -2.0), [1, 2.5]), BOXED_THETA_W)
         assert inst.theta_m == ((0.5, -2.0), (1.0, 2.5))
 
+    @pytest.mark.parametrize(
+        "row",
+        [(0.25, 3.0), (math.nan, 1.0), (1.0, -math.inf), (1.7e308, 1.7e308)],
+        ids=["finite", "nan", "inf", "overflowing sum"],
+    )
+    def test_float64_array_rows_equal_list_and_tuple_rows(self, row):
+        def outcome(call, table):
+            try:
+                return call(table)
+            except MatchkitError as exc:
+                return type(exc), str(exc)
+
+        table = ((1.0, 2.0), row)
+        forms = (np.array(table), [list(r) for r in table], table)
+        for call in (lambda t: Instance(2, t, t), optimal_assignment):
+            got = [outcome(call, form) for form in forms]
+            assert got[0] == got[1] == got[2]
+        # integer arrays are not taken as numbers
+        with pytest.raises(MalformedInputError, match=r"^theta_m\[0\]\[0\] is not a number$"):
+            Instance(2, np.array(((1, 2), (3, 4))), TWO_ZERO_ROWS)
+
     def test_matching_round_trip(self):
         m = Matching((2, 0, 1))
         assert parse_matching(serialize_matching(m)) == m
@@ -332,6 +366,104 @@ LEVEL_GUARDS = {
 }
 
 
+def eps_from_env(value):
+    with mock.patch.dict(os.environ, {"MATCHKIT_EPS": value}):
+        return resolve_eps()
+
+
+# Input refusals, as (call, error class, error text).
+TWO_ZERO_ROWS = ((0, 0), (0, 0))
+REFUSALS = {
+    "Instance rows not iterable": (
+        lambda: Instance(2, 5, TWO_ZERO_ROWS), MalformedInputError, "theta_m must be a list of rows"
+    ),
+    "Instance row not iterable": (
+        lambda: Instance(2, (5, (0, 0)), TWO_ZERO_ROWS),
+        MalformedInputError,
+        "theta_m row 0 must be a list",
+    ),
+    "Instance n=0": (lambda: Instance(0, (), ()), DomainError, "n must be >= 1, got 0"),
+    "Matching(5)": (
+        lambda: Matching(5), MalformedInputError, "assignment must be a sequence of integers"
+    ),
+    "Matching([])": (lambda: Matching([]), InvalidMatchingError, "assignment must not be empty"),
+    "Matching([0.5])": (
+        lambda: Matching([0.5]), MalformedInputError, "assignment[0] is not an integer"
+    ),
+    "CutVector empty": (
+        lambda: CutVector((), ()), DimensionMismatchError, "cut vectors must not be empty"
+    ),
+    "random_instance n=2.5": (
+        lambda: random_instance(2.5, 1), MalformedInputError, "n must be an integer"
+    ),
+    "parse_instance list": (
+        lambda: parse_instance("[]"), MalformedInputError, "instance JSON must be an object"
+    ),
+    "parse_matching no key": (
+        lambda: parse_matching('{"x": [0]}'),
+        MalformedInputError,
+        'matching JSON must be an object with key "assignment"',
+    ),
+    "parse_matching not a list": (
+        lambda: parse_matching('{"assignment": 3}'),
+        MalformedInputError,
+        "assignment must be a list of integers",
+    ),
+    "in_feasible_set pair (5, 0)": (
+        lambda: in_feasible_set(BargainingModel("ft"), BOXED, 5, 0, 0.0, 0.0),
+        DomainError,
+        "pair (5, 0) out of range for n=2",
+    ),
+    "ft_taxed 3x3 beta on n=2": (
+        lambda: in_feasible_set(
+            BargainingModel("ft_taxed", ((0.5,) * 3,) * 3), BOXED, 0, 0, 0.0, 0.0
+        ),
+        DimensionMismatchError,
+        "beta is 3x3, instance needs 2x2",
+    ),
+    "check_assumption samples=0": (
+        lambda: check_assumption(BargainingModel("ft"), BOXED, 0, 1),
+        DomainError,
+        "samples must be >= 1, got 0",
+    ),
+    "pq_plane_sweep trials=0": (
+        lambda: pq_plane_sweep(mixed_instance_stream(3, 1), 3, 0),
+        DomainError,
+        "trials must be >= 1, got 0",
+    ),
+    "mixed_instance_stream n=0": (
+        lambda: mixed_instance_stream(0, 1), DomainError, "stream size must be >= 1, got 0"
+    ),
+    "check_pq_monotonicity grid_steps=1": (
+        lambda: check_pq_monotonicity(BOXED, Matching((0, 1)), 1),
+        DomainError,
+        "grid_steps must be >= 2, got 1",
+    ),
+    "gale_shapley proposer x": (
+        lambda: gale_shapley(BOXED, proposer="x"),
+        DomainError,
+        "proposer must be \"men\" or \"women\", got 'x'",
+    ),
+    "randint empty range": (
+        lambda: SplitMix64(1).randint(3, 2), DomainError, "empty integer range [3, 2]"
+    ),
+    "IntegerRange empty": (lambda: IntegerRange(3, 2), DomainError, "empty integer range [3, 2]"),
+    "best_cycle_bruteforce n=11": (
+        lambda: best_cycle_bruteforce([[0.0] * 11] * 11, 1e-9),
+        SizeLimitError,
+        "cycle enumeration limited to n <= 10, got 11",
+    ),
+    "MATCHKIT_EPS=-1": (
+        lambda: eps_from_env("-1"), DomainError, "MATCHKIT_EPS must be a finite non-negative number"
+    ),
+    "MATCHKIT_EPS=inf": (
+        lambda: eps_from_env("inf"),
+        DomainError,
+        "MATCHKIT_EPS must be a finite non-negative number",
+    ),
+}
+
+
 class TestGuards:
     @pytest.mark.parametrize("engine", sorted(MATCHING_ENGINES))
     def test_wrong_size_matching(self, engine, boxed):
@@ -356,3 +488,11 @@ class TestGuards:
         text = f"{name} must lie in [0, 1], got {value}"
         with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
             call(value)
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refused_with_named_error(self, case):
+        call, error, text = REFUSALS[case]
+        assert issubclass(error, MatchkitError)
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == text

@@ -29,7 +29,7 @@ from matchkit.cycles import best_cycle_bruteforce, find_positive_cycle
 from matchkit import transferable
 from matchkit.rng import SplitMix64
 
-from conftest import corpus_instance, seeded_permutation
+from conftest import corpus_instance, count_calls, seeded_permutation
 
 BOXED_THETA = ((2.0, 5.0), (0.0, 2.0))
 EPS = 1e-9
@@ -128,6 +128,18 @@ class TestOneSolveTieBreak:
         best = float(arr[rows, cols].sum())
         assert abs(value - best) <= 1e-12 * abs(best)
         assert value == sum(theta[i][matching.assignment[i]] for i in range(len(theta)))
+
+    def test_additive_tables_return_the_identity(self):
+        # theta[i][j] = a[i] + b[j]: every assignment ties up to rounding, so
+        # the tie rule must see all of them as optimal.
+        for n in (2, 5, 10, 20, 40, 80, 150):
+            for seed in range(20):
+                rng = SplitMix64(derive_seed(86, n, seed))
+                a = [rng.uniform01() for _ in range(n)]
+                b = [rng.uniform01() for _ in range(n)]
+                for scale in (1.0, 1e3, 1e8):
+                    theta = tuple(tuple(scale * x + scale * y for y in b) for x in a)
+                    assert optimal_assignment(theta)[0].assignment == tuple(range(n))
 
     def test_zero_eps_on_ties(self):
         theta = ((1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 1.0))
@@ -230,6 +242,16 @@ class TestDualCuts:
         )
         dual_cuts(theta, matching)
         assert calls == {"detector": 0, "relaxation": 1}
+
+    @pytest.mark.parametrize("n", [5, 40, 150])
+    def test_zero_eps_integer_tables_skip_the_detector(self, monkeypatch, n):
+        # Integer sums below 2**53 are exact, so eps = 0 needs no rounding term.
+        theta = combined_rewards(random_instance(n, 3, IntegerRange(0, 9)))
+        matching, _ = optimal_assignment(theta)
+        expected = reference_dual_cuts(theta, matching, 0.0)
+        detector = count_calls(monkeypatch, transferable, "find_positive_cycle")
+        assert dual_cuts(theta, matching, eps=0.0) == expected
+        assert detector == []
 
     def test_rejects_blocked_matching(self, identity2):
         with pytest.raises(NotCyclicallyMonotoneError):
