@@ -29,9 +29,10 @@ from .errors import (
     DomainError,
     NonFiniteEntryError,
     PreconditionError,
-    SizeLimitError,
 )
-from .instances import CutVector, Instance, Matching, Matrix, _check_fits, _coerce_matrix
+from .instances import (
+    CutVector, Instance, Matching, Matrix, _check_count, _check_fits, _check_limit, _coerce_matrix
+)
 from .rng import SplitMix64
 from .tolerance import DEFAULT_EPS
 
@@ -203,8 +204,7 @@ def check_assumption(
     *,
     eps: float = DEFAULT_EPS,
 ) -> AssumptionReport:
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+    samples = _check_count("samples", samples, 1)
     n = inst.n
     # the pooled budget tm + tw is the largest u + v in every family
     c1 = max(inst.theta_m[i][j] + inst.theta_w[i][j] for i in range(n) for j in range(n))
@@ -250,11 +250,11 @@ def verify_core_point(
     _check_fits(n, matching, cuts)
     for i in range(n):
         wi = matching.assignment[i]
-        if not in_feasible_set(model, inst, i, wi, cuts.u[i], cuts.v[wi], eps=eps):
+        if not _holds(model, inst, i, wi, cuts.u[i], cuts.v[wi], eps, strict=False):
             return False
     for i in range(n):
         for j in range(n):
-            if in_interior(model, inst, i, j, cuts.u[i], cuts.v[j], eps=eps):
+            if _holds(model, inst, i, j, cuts.u[i], cuts.v[j], eps, strict=True):
                 return False
     return True
 
@@ -405,8 +405,7 @@ def search_core(
     """
     n = inst.n
     _check_fits(n, matching)
-    if n > CORE_SEARCH_LIMIT:
-        raise SizeLimitError(f"core search limited to n <= {CORE_SEARCH_LIMIT}, got {n}")
+    _check_limit("core search", n, CORE_SEARCH_LIMIT)
     wife = matching.assignment
     own = [_halfplanes(model, inst, h, wife[h], Fraction) for h in range(n)]
     bounds = [

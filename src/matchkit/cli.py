@@ -56,8 +56,11 @@ def _read_text(path: str) -> str:
         _die(EXIT_USAGE, f"cannot read {path}: {exc}")
 
 
-def _load_instance(path: str):
-    return parse_instance(_read_text(path))
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _die(EXIT_USAGE, f"cannot write {path}: {exc}")
 
 
 def _fmt(x: float) -> str:
@@ -114,9 +117,11 @@ def solve():
 def solve_nt(instance_path: str, proposer: str, out_path: str | None):
     """Deferred-acceptance matching plus a blocking-pair audit."""
     eps = resolve_eps()
-    inst = _load_instance(instance_path)
+    inst = parse_instance(_read_text(instance_path))
     result = gale_shapley_detailed(inst, proposer)
     blocking = find_fnt_blocking_pairs(inst, result.matching, eps=eps)
+    if out_path is not None:
+        _write_text(out_path, serialize_matching(result.matching) + "\n")
     click.echo(f"proposer: {proposer}")
     click.echo(f"matching: {_fmt_matching(result.matching)}")
     click.echo(f"proposals: {result.proposals}")
@@ -125,8 +130,6 @@ def solve_nt(instance_path: str, proposer: str, out_path: str | None):
         click.echo(f"blocking pairs: {pairs}")
     else:
         click.echo("blocking pairs: none (stable)")
-    if out_path is not None:
-        Path(out_path).write_text(serialize_matching(result.matching) + "\n")
 
 
 @solve.command("ft")
@@ -136,18 +139,18 @@ def solve_nt(instance_path: str, proposer: str, out_path: str | None):
 def solve_ft(instance_path: str, out_path: str | None):
     """Maximum-total-reward matching, dual cuts, and a core audit."""
     eps = resolve_eps()
-    inst = _load_instance(instance_path)
+    inst = parse_instance(_read_text(instance_path))
     theta = combined_rewards(inst)
-    matching, value = optimal_assignment(theta, eps=eps)
+    matching, value = optimal_assignment(theta)
     cuts = dual_cuts(theta, matching, eps=eps)
     core_ok = verify_ft_core(theta, matching, cuts, eps=eps)
+    if out_path is not None:
+        _write_text(out_path, serialize_matching(matching) + "\n")
     click.echo(f"matching: {_fmt_matching(matching)}")
     click.echo(f"total value: {_fmt(value)}")
     click.echo(f"cuts u: {_fmt_vector(cuts.u)}")
     click.echo(f"cuts v: {_fmt_vector(cuts.v)}")
     click.echo(f"core audit: {'ok' if core_ok else 'FAILED'}")
-    if out_path is not None:
-        Path(out_path).write_text(serialize_matching(matching) + "\n")
 
 
 @main.command()
@@ -159,7 +162,7 @@ def solve_ft(instance_path: str, out_path: str | None):
 def check(instance_path: str, matching_path: str, p: float, q: float):
     """Is the matching (p, q)-stable?  Exit 0 stable, 1 unstable."""
     eps = resolve_eps()
-    inst = _load_instance(instance_path)
+    inst = parse_instance(_read_text(instance_path))
     matching = parse_matching(_read_text(matching_path))
     pq = PQParams(p, q)
     verdict = find_pq_blocking_chain(inst, matching, pq, eps=eps)
@@ -190,7 +193,7 @@ def sweep(size: int, grid_steps: int, trials: int, seed: int, out_path: str):
     eps = resolve_eps()
     stream = mixed_instance_stream(size, seed)
     report = pq_plane_sweep(stream, grid_steps, trials, eps=eps)
-    Path(out_path).write_text(report.to_csv())
+    _write_text(out_path, report.to_csv())
     click.echo(f"wrote {len(report.grid)} cells to {out_path}")
 
 
@@ -201,9 +204,11 @@ def _parse_dist(spec: str):
         parts = spec.split(":")
         if len(parts) == 3:
             try:
-                return IntegerRange(int(parts[1]), int(parts[2]))
+                lo, hi = int(parts[1]), int(parts[2])
             except ValueError:
                 pass
+            else:
+                return IntegerRange(lo, hi)
     _die(EXIT_USAGE, f"unknown distribution {spec!r}; expected uniform01 or int:LO:HI")
 
 
@@ -217,7 +222,7 @@ def gen(size: int, seed: int, dist_spec: str, out_path: str):
     """Write a seeded random instance as JSON."""
     dist = _parse_dist(dist_spec)
     inst = random_instance(size, seed, dist)
-    Path(out_path).write_text(serialize_instance(inst) + "\n")
+    _write_text(out_path, serialize_instance(inst) + "\n")
     click.echo(f"wrote instance n={size} to {out_path}")
 
 
@@ -230,7 +235,7 @@ def counterexample(p: float, q: float, out_path: str):
     """Write the two-couple instance with no (p, q)-stable matching."""
     eps = resolve_eps()
     inst = counterexample_instance(p, q, eps=eps)
-    Path(out_path).write_text(serialize_instance(inst) + "\n")
+    _write_text(out_path, serialize_instance(inst) + "\n")
     click.echo(f"wrote counterexample for (p, q) = ({_fmt(p)}, {_fmt(q)}) to {out_path}")
 
 
@@ -247,7 +252,7 @@ def core(model_name: str, instance_path: str, matching_path: str):
     point exists, 1 when none does.
     """
     eps = resolve_eps()
-    inst = _load_instance(instance_path)
+    inst = parse_instance(_read_text(instance_path))
     matching = parse_matching(_read_text(matching_path))
     beta = inst.beta if model_name == "ft_taxed" else None
     model = BargainingModel(model_name, beta)

@@ -38,6 +38,12 @@ answers it in three stages.
 Shortest-path potentials (the dual cuts and the optimal-assignment
 tie-break) come from ``relax_potentials``, one vectorized all-sources
 Bellman-Ford pass per round, which also reports whether it settled.
+Each relaxation is the faster one on its own traffic (CPython 3.11,
+numpy 2.4, 2 cores).  The detector's row-skipping loop in its place
+gives identical cuts but takes ``dual_cuts`` from 0.48 to 0.83 ms at
+n = 50 and 3.2 to 6.9 ms at n = 150, ``optimal_assignment`` from 5.3 to
+8.9 ms at n = 150; numpy relaxation of the detector's stable weights
+takes 0.079 ms against 0.018 ms at n = 8, and 6.3 against 2.4 at 150.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import SizeLimitError
+from .instances import _check_limit
 from .tolerance import rounding_bound
 
 _BRUTE_FORCE_LIMIT = 10
@@ -201,8 +207,7 @@ def best_cycle_bruteforce(weights: WeightMatrix, eps: float) -> Found | None:
     so each cycle is visited exactly once.  Guarded to small graphs.
     """
     n = len(weights)
-    if n > _BRUTE_FORCE_LIMIT:
-        raise SizeLimitError(f"cycle enumeration limited to n <= {_BRUTE_FORCE_LIMIT}, got {n}")
+    _check_limit("cycle enumeration", n, _BRUTE_FORCE_LIMIT)
     best: Found | None = None
     for size in range(2, n + 1):
         for nodes in combinations(range(n), size):

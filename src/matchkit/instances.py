@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Iterator
@@ -26,14 +27,16 @@ from .errors import (
     InvalidMatchingError,
     MalformedInputError,
     NonFiniteEntryError,
+    SizeLimitError,
 )
 from .rng import Distribution, SplitMix64, Uniform01
 
 Matrix = tuple[tuple[float, ...], ...]
 
 # Entry types a row may hold to skip the per-entry check (bool excluded);
-# np.float64 subclasses float, so float() converts it as _coerce_row would.
+# np.float64 subclasses float, so float() converts it as the check would.
 _PLAIN_NUMBERS = {int, float, np.float64}
+_FLOATS = {float}  # a row of these is kept as it is
 
 
 def _coerce_matrix(rows, n: int, name: str) -> Matrix:
@@ -54,35 +57,56 @@ def _coerce_matrix(rows, n: int, name: str) -> Matrix:
             raise DimensionMismatchError(
                 f"{name} row {r} must have {n} entries, got {len(entries)}"
             )
-        types = set(map(type, entries))
-        if types <= _PLAIN_NUMBERS:
-            try:
-                vals = entries if types == {float} else tuple(map(float, entries))
-            except OverflowError:
-                vals = None
-            # a finite sum has only finite terms; other rows go entry by entry
-            if vals is not None and math.isfinite(sum(vals)):
-                out.append(vals)
-                continue
-        out.append(_coerce_row(entries, r, name))
+        out.append(_coerce_row(entries, name, r))
     return tuple(out)
 
 
-def _coerce_row(entries: tuple, r: int, name: str) -> tuple[float, ...]:
-    """Entry-by-entry form of _coerce_matrix's row check, which names
-    the first offending entry; also admits int and float subclasses."""
+def _coerce_row(entries: tuple, name: str, r: int | None = None) -> tuple[float, ...]:
+    """The one finite-number check: ``entries`` as floats.  A row of plain
+    numbers with a finite sum (so only finite terms) passes at once; any
+    other goes entry by entry, admitting int and float subclasses but not
+    bool, and names the first offending entry, ``name[r][c]`` or ``name[c]``."""
+    types = set(map(type, entries))
+    if types <= _PLAIN_NUMBERS:
+        try:
+            vals = entries if types == _FLOATS else tuple(map(float, entries))
+        except OverflowError:
+            vals = None
+        if vals is not None and math.isfinite(sum(vals)):
+            return vals
+    where = name if r is None else f"{name}[{r}]"
     vals = []
     for c, x in enumerate(entries):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise MalformedInputError(f"{name}[{r}][{c}] is not a number")
+            raise MalformedInputError(f"{where}[{c}] is not a number")
         try:
             x = float(x)
         except OverflowError:  # an int too large for a float
             x = math.inf
         if not math.isfinite(x):
-            raise NonFiniteEntryError(f"{name}[{r}][{c}] is not finite")
+            raise NonFiniteEntryError(f"{where}[{c}] is not finite")
         vals.append(x)
     return tuple(vals)
+
+
+def _check_count(name: str, value, low: int) -> int:
+    """The one count guard: ``value`` as a Python int of at least ``low``;
+    it admits what ``operator.index`` admits, except bool."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise MalformedInputError(f"{name} must be an integer")
+    if count < low:
+        raise DomainError(f"{name} must be >= {low}, got {count}")
+    return count
+
+
+def _check_limit(what: str, n: int, limit: int) -> None:
+    """The one guard in front of exponential work: at most ``limit`` couples."""
+    if n > limit:
+        raise SizeLimitError(f"{what} limited to n <= {limit}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -100,10 +124,7 @@ class Instance:
     beta: Matrix | None = None
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise MalformedInputError("n must be an integer")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _check_count("n", self.n, 1))
         object.__setattr__(self, "theta_m", _coerce_matrix(self.theta_m, self.n, "theta_m"))
         object.__setattr__(self, "theta_w", _coerce_matrix(self.theta_w, self.n, "theta_w"))
         if self.beta is not None:
@@ -116,13 +137,8 @@ class Instance:
         table read from the woman's viewpoint, and vice versa; ``beta``,
         when present, transposes with them.
         """
-        n = self.n
-        tm = tuple(tuple(self.theta_w[j][i] for j in range(n)) for i in range(n))
-        tw = tuple(tuple(self.theta_m[j][i] for j in range(n)) for i in range(n))
-        beta = None
-        if self.beta is not None:
-            beta = tuple(tuple(self.beta[j][i] for j in range(n)) for i in range(n))
-        return Instance(n, tm, tw, beta)
+        beta = None if self.beta is None else tuple(zip(*self.beta))
+        return Instance(self.n, tuple(zip(*self.theta_w)), tuple(zip(*self.theta_m)), beta)
 
 
 @dataclass(frozen=True)
@@ -224,18 +240,16 @@ class CutVector:
     v: tuple[float, ...]
 
     def __post_init__(self):
-        u = tuple(float(x) for x in self.u)
-        v = tuple(float(x) for x in self.v)
+        try:
+            u, v = tuple(self.u), tuple(self.v)
+        except TypeError:
+            raise MalformedInputError("cut vectors must be sequences of numbers") from None
         if len(u) != len(v):
             raise DimensionMismatchError(f"cut vectors differ in length: {len(u)} vs {len(v)}")
         if len(u) == 0:
             raise DimensionMismatchError("cut vectors must not be empty")
-        for name, vec in (("u", u), ("v", v)):
-            for k, x in enumerate(vec):
-                if not math.isfinite(x):
-                    raise NonFiniteEntryError(f"{name}[{k}] is not finite")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", _coerce_row(u, "u"))
+        object.__setattr__(self, "v", _coerce_row(v, "v"))
 
     @property
     def n(self) -> int:
@@ -293,10 +307,7 @@ def preference_orders(inst: Instance) -> PreferenceProfile:
 
 def random_instance(n: int, seed: int, dist: Distribution = Uniform01()) -> Instance:
     """Seeded random instance; identical bits for identical arguments."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise MalformedInputError("n must be an integer")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _check_count("n", n, 1)
     rng = SplitMix64(seed)
     theta_m = tuple(tuple(dist.sample(rng) for _ in range(n)) for _ in range(n))
     theta_w = tuple(tuple(dist.sample(rng) for _ in range(n)) for _ in range(n))

@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DomainError, SizeLimitError
-from .instances import Instance, Matching, _check_fits, _lex_search, preference_orders
+from .errors import DomainError
+from .instances import Instance, Matching, _check_fits, _check_limit, _lex_search, preference_orders
 from .tolerance import DEFAULT_EPS
 
 ENUMERATION_LIMIT = 8
@@ -125,8 +125,7 @@ def enumerate_fnt_stable(inst: Instance, *, eps: float = DEFAULT_EPS) -> list[Ma
     blocking one cuts every completion.  Guarded to n <= 8.
     """
     n = inst.n
-    if n > ENUMERATION_LIMIT:
-        raise SizeLimitError(f"stable-set enumeration limited to n <= {ENUMERATION_LIMIT}, got {n}")
+    _check_limit("stable-set enumeration", n, ENUMERATION_LIMIT)
 
     def admits(prefix: tuple[int, ...]) -> bool:
         k = len(prefix) - 1
@@ -158,12 +157,7 @@ def verify_men_optimality(inst: Instance, *, eps: float = DEFAULT_EPS) -> MenOpt
     deferred acceptance for any man (rank measured in his derived list)."""
     prefs = preference_orders(inst)
     if prefs.has_ties:
-        return MenOptimalityReport(
-            applicable=False,
-            holds=None,
-            stable_count=0,
-            detail="instance has tied rewards; not applicable",
-        )
+        return MenOptimalityReport(False, None, 0, "instance has tied rewards; not applicable")
     stable = enumerate_fnt_stable(inst, eps=eps)
     proposed = gale_shapley(inst)
     n = inst.n
@@ -174,16 +168,8 @@ def verify_men_optimality(inst: Instance, *, eps: float = DEFAULT_EPS) -> MenOpt
     for other in stable:
         for i in range(n):
             if rank[i][proposed.assignment[i]] > rank[i][other.assignment[i]]:
-                return MenOptimalityReport(
-                    applicable=True,
-                    holds=False,
-                    stable_count=len(stable),
-                    detail=f"man {i} prefers stable matching {other.assignment}",
-                )
-    return MenOptimalityReport(
-        applicable=True,
-        holds=True,
-        stable_count=len(stable),
-        detail=f"optimal for all men across {len(stable)} stable matchings",
-    )
+                detail = f"man {i} prefers stable matching {other.assignment}"
+                return MenOptimalityReport(True, False, len(stable), detail)
+    detail = f"optimal for all men across {len(stable)} stable matchings"
+    return MenOptimalityReport(True, True, len(stable), detail)
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .cycles import _settle_error, find_positive_cycle
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError
 from .instances import (
-    Instance, Matching, PQParams, _check_fits, _check_unit_interval, _lex_search, random_instance
+    Instance, Matching, PQParams, _check_count, _check_fits, _check_limit, _check_unit_interval,
+    _lex_search, random_instance,
 )
 from .rng import SplitMix64, Uniform01, derive_seed
 from .tolerance import DEFAULT_EPS
@@ -138,8 +139,7 @@ def exists_pq_stable(
     more than the detector's rounding on a full matching.
     """
     n = inst.n
-    if n > ORACLE_LIMIT:
-        raise SizeLimitError(f"existence oracle limited to n <= {ORACLE_LIMIT}, got {n}")
+    _check_limit("existence oracle", n, ORACLE_LIMIT)
     p, q = pq.p, pq.q
     # A cycle beating eps + slack keeps the detector from settling on a full
     # matching, whose weights are at most 4 reward spreads, and an unsettled
@@ -210,10 +210,8 @@ def pq_plane_sweep(
     and the existence oracle decides existence.  Cells are independent
     work units; results are identical to sequential execution.
     """
-    if grid_steps < 2:
-        raise DomainError(f"grid_steps must be >= 2, got {grid_steps}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    grid_steps = _check_count("grid_steps", grid_steps, 2)
+    trials = _check_count("trials", trials, 1)
     cells = []
     denom = grid_steps - 1
     for ip in range(grid_steps):
@@ -224,10 +222,7 @@ def pq_plane_sweep(
             count = 0
             for trial in range(trials):
                 inst = gen(p, q, trial)
-                if inst.n > SWEEP_LIMIT:
-                    raise SizeLimitError(
-                        f"sweep instances limited to n <= {SWEEP_LIMIT}, got {inst.n}"
-                    )
+                _check_limit("sweep instances", inst.n, SWEEP_LIMIT)
                 if exists_pq_stable(inst, pq, eps=eps) is not None:
                     count += 1
             cells.append(SweepCell(p, q, trials, count))
@@ -243,10 +238,9 @@ def mixed_instance_stream(n: int, seed: int) -> InstanceStream:
     construction's instability margin), so thin non-existence sets stay
     visible under sampling.
     """
-    if n < 1:
-        raise DomainError(f"stream size must be >= 1, got {n}")
-    if n > SWEEP_LIMIT:
-        raise SizeLimitError(f"sweep instances limited to n <= {SWEEP_LIMIT}, got {n}")
+    n = _check_count("stream size", n, 1)
+    # the 2n^2 draws of an oversized instance come before pq_plane_sweep's check
+    _check_limit("sweep instances", n, SWEEP_LIMIT)
 
     def gen(p: float, q: float, trial: int) -> Instance:
         cell_seed = derive_seed(seed, round(p * 10**9), round(q * 10**9), trial)
@@ -273,18 +267,17 @@ def check_pq_monotonicity(
 
     More inter-pair sharing and less internal sharing both weaken
     deviating chains, so the stable region is an upper-left set of the
-    grid.  Guarded to n <= 6.
+    grid.  Each cell is one detector call, with no size guard: an 11 by 11
+    grid takes about 1 s at n = 150.
     """
-    if inst.n > SWEEP_LIMIT:
-        raise SizeLimitError(f"grid check limited to n <= {SWEEP_LIMIT}, got {inst.n}")
-    if grid_steps < 2:
-        raise DomainError(f"grid_steps must be >= 2, got {grid_steps}")
+    grid_steps = _check_count("grid_steps", grid_steps, 2)
+    _check_fits(inst.n, matching)
     denom = grid_steps - 1
     stable = [[False] * grid_steps for _ in range(grid_steps)]
     for ip in range(grid_steps):
         for iq in range(grid_steps):
-            pq = PQParams(ip / denom, iq / denom)
-            stable[ip][iq] = find_pq_blocking_chain(inst, matching, pq, eps=eps) is True
+            weights = _pq_weights(inst, matching.assignment, ip / denom, iq / denom)
+            stable[ip][iq] = find_positive_cycle(weights, eps) is None
     # Upper-left closure follows, by induction, from each stable cell's
     # next cell in p and previous cell in q being stable.
     return all(

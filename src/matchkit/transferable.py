@@ -22,8 +22,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .cycles import _resum_error, find_positive_cycle, relax_potentials
-from .errors import NonFiniteEntryError, NotCyclicallyMonotoneError, PreconditionError
-from .instances import CutVector, Matching, _check_fits, _coerce_matrix
+from .errors import NotCyclicallyMonotoneError, PreconditionError
+from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row
 from .tolerance import DEFAULT_EPS, rounding_bound
 
 _DIVERGED = "chain potentials diverge: a blocking chain exists"
@@ -70,9 +70,7 @@ def _underpaid(arr: np.ndarray, cuts: CutVector, eps: float) -> np.ndarray:
         return u[:, None] + v[None, :] < arr - eps
 
 
-def optimal_assignment(
-    theta: Sequence[Sequence[float]], *, eps: float = DEFAULT_EPS
-) -> tuple[Matching, float]:
+def optimal_assignment(theta: Sequence[Sequence[float]]) -> tuple[Matching, float]:
     """Exact maximum-total-reward matching and its value.
 
     One O(n^3) assignment solve finds an optimum.  Chain potentials over
@@ -83,11 +81,14 @@ def optimal_assignment(
     by row.  Tightness is tested to 64 roundings of n * max(1, max|theta|),
     enough for potentials summed along chains of up to n hops.  That is a
     tie rule, not a worst-case bound (a wider one would accept matchings
-    more than eps below the optimum), nor a stability predicate, so the
-    result does not depend on ``eps``; the keyword is accepted for
-    symmetry with the predicates.
+    more than eps below the optimum), nor a stability predicate, so it
+    takes no ``eps``.
     """
-    arr = _square(theta)
+    return _optimal_assignment(_square(theta))
+
+
+def _optimal_assignment(arr: np.ndarray) -> tuple[Matching, float]:
+    """``optimal_assignment`` on an array ``_square`` has validated."""
     _, cols = linear_sum_assignment(arr, maximize=True)
     chosen = _lex_first_perfect_matching(_tight_edges(arr, cols), cols.tolist())
     # Python floats summed left to right: the CLI prints this value's repr
@@ -201,17 +202,14 @@ def chain_potentials(theta: Sequence[Sequence[float]], matching: Matching) -> li
     value finite; the resulting potentials dominate every pair's reward
     split, which the departure-oriented hop costs would not.  Raises
     NotCyclicallyMonotoneError when the relaxation does not settle, and
-    NonFiniteEntryError, naming the entry as CutVector would, when it
-    settles on a potential beyond the float range.
+    NonFiniteEntryError, from CutVector's entry check, when it settles
+    on a potential beyond the float range.
     """
     arr = _square(theta, matching)
     dist, settled = _chain_distances(arr, np.asarray(matching.assignment), 4 * len(arr))
     if not settled:
         raise NotCyclicallyMonotoneError(_DIVERGED)
-    lost = np.flatnonzero(~np.isfinite(dist))
-    if lost.size:
-        raise NonFiniteEntryError(f"u[{lost[0]}] is not finite")
-    return (-dist).tolist()
+    return list(_coerce_row(tuple((-dist).tolist()), "u"))
 
 
 def dual_cuts(
@@ -305,7 +303,7 @@ def check_optimality_of_cuts(
             f"cuts are infeasible: u[{i}]+v[{j}] = {cuts.u[i] + cuts.v[j]} "
             f"< theta = {float(arr[i, j])}"
         )
-    _, best = optimal_assignment(arr.tolist(), eps=eps)
+    _, best = _optimal_assignment(arr)
     return abs(cuts.total() - best) <= max(len(arr), 1) * eps
 
 

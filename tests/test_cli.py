@@ -239,6 +239,13 @@ class TestGen:
                 f"error: unknown distribution {dist!r}; expected uniform01 or int:LO:HI\n"
             )
 
+    def test_empty_int_range_exit_2(self, runner, tmp_path):
+        args = ["gen", "--n", "3", "--seed", "2", "--dist", "int:5:1", "--out", str(tmp_path / "x")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: empty integer range [5, 1]\n"
+
     def test_rejects_zero_size(self, runner, tmp_path):
         result = runner.invoke(
             main, ["gen", "--n", "0", "--seed", "2", "--out", str(tmp_path / "x")]
@@ -421,7 +428,27 @@ class TestCore:
         assert "core-valid: yes (u=[1.7e+308, 1.7e+308], v=[1.7e+308, 1.7e+308])" in result.output
 
 
+# Every command with --out, as its arguments before the --out flag.
+OUT_COMMANDS = {
+    "solve nt": ["solve", "nt", "--instance", "{boxed}"],
+    "solve ft": ["solve", "ft", "--instance", "{boxed}"],
+    "sweep": ["sweep", "--n", "2", "--grid", "2", "--trials", "1"],
+    "gen": ["gen", "--n", "2", "--seed", "1"],
+    "counterexample": ["counterexample", "--p", "0.2", "--q", "0.8"],
+}
+
+
 class TestHygiene:
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_unwritable_out_exit_2(self, runner, boxed_file, tmp_path, command):
+        out = str(tmp_path / "missing" / "out.json")
+        args = [a.format(boxed=boxed_file) for a in OUT_COMMANDS[command]] + ["--out", out]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert result.stdout == ""
+
     def test_inputs_never_modified(self, runner, boxed_file, tmp_path):
         before = Path(boxed_file).read_bytes()
         matching = write_matching(tmp_path, "ident.json", (0, 1))

@@ -1,15 +1,19 @@
 """The cycle detector's stages: early exit on a parent cycle, the
 cycle-cover bound, and the enumeration that is left for the knife edge."""
 
+import inspect
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
 
+import matchkit.cli as cli
 import matchkit.cycles as cycles
 from matchkit import (
+    CutVector,
     Instance,
     Matching,
     MatchkitError,
@@ -202,6 +206,13 @@ class TestRoundingModel:
             assert "_TIGHT_ULPS" not in text, path.name
             if path.name != "tolerance.py":
                 assert "UNIT_ROUNDOFF" not in text and "finfo" not in text, path.name
+            # counts and size limits are each spelled once, in instances.py
+            if path.name != "instances.py":
+                assert "limited to n <=" not in text and "must be >= " not in text, path.name
+        # --out files are written by cli._write_text, cut entries checked by _coerce_row
+        rest = inspect.getsource(cli).replace(inspect.getsource(cli._write_text), "")
+        assert re.search(r"(?<!_)write_text\(", rest) is None
+        assert "float(" not in inspect.getsource(CutVector.__post_init__)
 
     def test_detector_bounds(self):
         checked = 0

@@ -393,6 +393,40 @@ REFUSALS = {
     "CutVector empty": (
         lambda: CutVector((), ()), DimensionMismatchError, "cut vectors must not be empty"
     ),
+    "CutVector str entry": (
+        lambda: CutVector(("1.5",), (0.0,)), MalformedInputError, "u[0] is not a number"
+    ),
+    "CutVector bool entry": (
+        lambda: CutVector((True,), (0.0,)), MalformedInputError, "u[0] is not a number"
+    ),
+    "CutVector None": (
+        lambda: CutVector(None, (0.0,)),
+        MalformedInputError,
+        "cut vectors must be sequences of numbers",
+    ),
+    "CutVector int beyond float": (
+        lambda: CutVector((10**400,), (0.0,)), NonFiniteEntryError, "u[0] is not finite"
+    ),
+    "pq_plane_sweep grid_steps=2.5": (
+        lambda: pq_plane_sweep(mixed_instance_stream(3, 1), 2.5, 1),
+        MalformedInputError,
+        "grid_steps must be an integer",
+    ),
+    "pq_plane_sweep trials=1.5": (
+        lambda: pq_plane_sweep(mixed_instance_stream(3, 1), 2, 1.5),
+        MalformedInputError,
+        "trials must be an integer",
+    ),
+    "check_pq_monotonicity grid_steps=2.5": (
+        lambda: check_pq_monotonicity(BOXED, Matching((0, 1)), 2.5),
+        MalformedInputError,
+        "grid_steps must be an integer",
+    ),
+    "check_assumption samples=1.5": (
+        lambda: check_assumption(BargainingModel("ft"), BOXED, 1.5, 1),
+        MalformedInputError,
+        "samples must be an integer",
+    ),
     "random_instance n=2.5": (
         lambda: random_instance(2.5, 1), MalformedInputError, "n must be an integer"
     ),

@@ -143,9 +143,9 @@ class TestOneSolveTieBreak:
 
     def test_zero_eps_on_ties(self):
         theta = ((1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 1.0))
-        assert optimal_assignment(theta, eps=0.0) == bruteforce_max_matching(theta)
+        assert optimal_assignment(theta) == bruteforce_max_matching(theta)
         zeros = ((0.0,) * 5,) * 5
-        assert optimal_assignment(zeros, eps=0.0)[0].assignment == (0, 1, 2, 3, 4)
+        assert optimal_assignment(zeros)[0].assignment == (0, 1, 2, 3, 4)
 
     def test_one_assignment_solve_per_call(self, monkeypatch):
         calls = []
