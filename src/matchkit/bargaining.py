@@ -33,7 +33,7 @@ from .errors import (
 from .instances import (
     CutVector, Instance, Matching, Matrix, _check_count, _check_fits, _check_limit, _coerce_matrix
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, _check_integer
 from .tolerance import DEFAULT_EPS
 
 MODEL_KINDS = ("fnt", "ft", "ft_nonneg", "ft_m2w", "ft_taxed")
@@ -205,6 +205,7 @@ def check_assumption(
     eps: float = DEFAULT_EPS,
 ) -> AssumptionReport:
     samples = _check_count("samples", samples, 1)
+    seed = _check_integer("seed", seed)
     n = inst.n
     # the pooled budget tm + tw is the largest u + v in every family
     c1 = max(inst.theta_m[i][j] + inst.theta_w[i][j] for i in range(n) for j in range(n))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Iterator
@@ -29,7 +28,7 @@ from .errors import (
     NonFiniteEntryError,
     SizeLimitError,
 )
-from .rng import Distribution, SplitMix64, Uniform01
+from .rng import Distribution, SplitMix64, Uniform01, _as_integer, _check_integer
 
 Matrix = tuple[tuple[float, ...], ...]
 
@@ -90,14 +89,9 @@ def _coerce_row(entries: tuple, name: str, r: int | None = None) -> tuple[float,
 
 
 def _check_count(name: str, value, low: int) -> int:
-    """The one count guard: ``value`` as a Python int of at least ``low``;
-    it admits what ``operator.index`` admits, except bool."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or isinstance(value, bool):
-        raise MalformedInputError(f"{name} must be an integer")
+    """The one count guard: ``value`` as a Python int, by the integer
+    rule, of at least ``low``."""
+    count = _check_integer(name, value)
     if count < low:
         raise DomainError(f"{name} must be >= {low}, got {count}")
     return count
@@ -150,7 +144,7 @@ class Matching:
 
     def __post_init__(self):
         try:
-            assignment = tuple(self.assignment)
+            assignment = tuple(map(_as_integer, self.assignment))
         except TypeError:
             raise MalformedInputError("assignment must be a sequence of integers") from None
         n = len(assignment)
@@ -158,7 +152,7 @@ class Matching:
             raise InvalidMatchingError("assignment must not be empty")
         inverse = [-1] * n
         for i, j in enumerate(assignment):
-            if isinstance(j, bool) or not isinstance(j, int):
+            if j is None:
                 raise MalformedInputError(f"assignment[{i}] is not an integer")
             if not 0 <= j < n:
                 raise InvalidMatchingError(f"assignment[{i}]={j} out of range 0..{n - 1}")
@@ -308,7 +302,7 @@ def preference_orders(inst: Instance) -> PreferenceProfile:
 def random_instance(n: int, seed: int, dist: Distribution = Uniform01()) -> Instance:
     """Seeded random instance; identical bits for identical arguments."""
     n = _check_count("n", n, 1)
-    rng = SplitMix64(seed)
+    rng = SplitMix64(_check_integer("seed", seed))
     theta_m = tuple(tuple(dist.sample(rng) for _ in range(n)) for _ in range(n))
     theta_w = tuple(tuple(dist.sample(rng) for _ in range(n)) for _ in range(n))
     return Instance(n, theta_m, theta_w)

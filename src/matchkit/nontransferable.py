@@ -80,16 +80,22 @@ def gale_shapley_detailed(inst: Instance, proposer: str = "men") -> GaleShapleyR
     return GaleShapleyResult(Matching(tuple(assignment)), proposals, proposer)
 
 
+def _positions(lists) -> list[list[int]]:
+    """positions[x][y]: where y stands in ``lists[x]``, a list of n items."""
+    positions = [[0] * len(lists) for _ in lists]
+    for row, ranking in zip(positions, lists):
+        for position, y in enumerate(ranking):
+            row[y] = position
+    return positions
+
+
 def _deferred_acceptance(proposing, receiving) -> tuple[list[int], int]:
     """Each receiver's partner after deferred acceptance, and the number
     of proposals.  Equal rewards rank the lower index first, so an
     engaged receiver keeps the lower-index proposer on a tied challenge.
     """
     n = len(proposing)
-    rank = [[0] * n for _ in range(n)]
-    for row, ranking in zip(rank, receiving):
-        for position, p in enumerate(ranking):
-            row[p] = position
+    rank = _positions(receiving)
     next_choice = [0] * n
     partner = [-1] * n
     free = deque(range(n))
@@ -161,10 +167,7 @@ def verify_men_optimality(inst: Instance, *, eps: float = DEFAULT_EPS) -> MenOpt
     stable = enumerate_fnt_stable(inst, eps=eps)
     proposed = gale_shapley(inst)
     n = inst.n
-    rank = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for position, woman in enumerate(prefs.men[i]):
-            rank[i][woman] = position
+    rank = _positions(prefs.men)
     for other in stable:
         for i in range(n):
             if rank[i][proposed.assignment[i]] > rank[i][other.assignment[i]]:

@@ -24,7 +24,7 @@ from .instances import (
     Instance, Matching, PQParams, _check_count, _check_fits, _check_limit, _check_unit_interval,
     _lex_search, random_instance,
 )
-from .rng import SplitMix64, Uniform01, derive_seed
+from .rng import SplitMix64, Uniform01, _check_integer, derive_seed
 from .tolerance import DEFAULT_EPS
 
 ORACLE_LIMIT = 8
@@ -239,6 +239,7 @@ def mixed_instance_stream(n: int, seed: int) -> InstanceStream:
     visible under sampling.
     """
     n = _check_count("stream size", n, 1)
+    seed = _check_integer("seed", seed)
     # the 2n^2 draws of an oversized instance come before pq_plane_sweep's check
     _check_limit("sweep instances", n, SWEEP_LIMIT)
 

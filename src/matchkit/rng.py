@@ -10,9 +10,10 @@ decorrelated streams without sharing state.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, MalformedInputError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -47,6 +48,25 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
+def _as_integer(value) -> int | None:
+    """The one integer rule: ``value`` as a Python int when
+    ``operator.index`` admits it and it is not a bool, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` by the integer rule; anything else is refused by name."""
+    integer = _as_integer(value)
+    if integer is None:
+        raise MalformedInputError(f"{name} must be an integer")
+    return integer
+
+
 def derive_seed(*parts: int) -> int:
     """Fold integers into a 64-bit child seed; order-sensitive."""
     acc = 0
@@ -71,6 +91,8 @@ class IntegerRange:
     hi: int
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", _check_integer("lo", self.lo))
+        object.__setattr__(self, "hi", _check_integer("hi", self.hi))
         if self.hi < self.lo:
             raise DomainError(f"empty integer range [{self.lo}, {self.hi}]")
 

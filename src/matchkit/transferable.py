@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .cycles import _resum_error, find_positive_cycle, relax_potentials
-from .errors import NotCyclicallyMonotoneError, PreconditionError
+from .errors import DimensionMismatchError, NotCyclicallyMonotoneError, PreconditionError
 from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row
 from .tolerance import DEFAULT_EPS, rounding_bound
 
@@ -49,6 +49,8 @@ def _square(theta, matching: Matching | None = None, cuts: CutVector | None = No
     cuts, when given, must fit its size."""
     rows = list(theta)
     n = len(rows)
+    if n == 0:
+        raise DimensionMismatchError("theta must not be empty")
     arr = np.array(_coerce_matrix(rows, n, "theta"), dtype=float).reshape(n, n)
     if matching is not None:
         _check_fits(n, matching, cuts)
@@ -77,12 +79,12 @@ def optimal_assignment(theta: Sequence[Sequence[float]]) -> tuple[Matching, floa
     it give dual cuts u, v, and by complementary slackness the optimal
     assignments are exactly the perfect matchings of the tight edges
     u[i] + v[j] = theta[i][j].  Among tied optima the lexicographically
-    smallest assignment is returned, read off that tight-edge graph row
-    by row.  Tightness is tested to 64 roundings of n * max(1, max|theta|),
-    enough for potentials summed along chains of up to n hops.  That is a
-    tie rule, not a worst-case bound (a wider one would accept matchings
-    more than eps below the optimum), nor a stability predicate, so it
-    takes no ``eps``.
+    smallest is returned, by one breadth-first alternating-path search
+    per row of that graph, O(n^3) at worst.  Tightness is tested to 64
+    roundings of n * max(1, max|theta|), enough for potentials summed
+    along chains of up to n hops: a tie rule, not a worst-case bound (a
+    wider one would accept matchings more than eps below the optimum),
+    nor a stability predicate, so it takes no ``eps``.
     """
     return _optimal_assignment(_square(theta))
 
@@ -136,43 +138,41 @@ def _lex_first_perfect_matching(tight: np.ndarray, assignment: list[int]) -> lis
     """Lexicographically smallest perfect matching of a bipartite graph.
 
     ``assignment`` is any perfect matching of ``tight``.  Rows are fixed
-    in order; row i takes its smallest tight column j that some
-    alternating path through the unfixed rows can free, and the path is
-    flipped: O(n^3) at worst.  A search runs only when row i has a tight
-    unfixed column below its current one, so tie-free inputs need none.
+    in order; row i tries its tight columns below its current one in
+    ascending order.  From each candidate's owner a breadth-first search
+    through the unfixed rows seeks one tight on row i's current column,
+    then flips that alternating path.  Rows a failed search visited are
+    not searched again for row i, so each row costs one search: O(n^3)
+    at worst.  The lex-first matching is unique, so the path taken does
+    not change it.
     """
     n = len(assignment)
-    cols_of = [np.flatnonzero(row).tolist() for row in tight]
-    rows_of = [np.flatnonzero(col).tolist() for col in tight.T]
+    rows, cols = np.nonzero(tight)
+    cols_of = [c.tolist() for c in np.split(cols, np.flatnonzero(np.diff(rows)) + 1)]
     match = list(assignment)
-    owner = [0] * n
-    for i, j in enumerate(match):
-        owner[j] = i
+    owner = np.argsort(assignment).tolist()
     for i in range(n):
         target = match[i]
-        if next(j for j in cols_of[i] if owner[j] >= i) == target:
-            continue
-        # via[r] = the column row r moves to on its way to freeing target.
-        via: dict[int, int] = {}
-        stack = [target]
-        while stack:
-            c = stack.pop()
-            for r in rows_of[c]:
-                if r > i and r not in via:
-                    via[r] = c
-                    stack.append(match[r])
-        j = next(j for j in cols_of[i] if j == target or owner[j] in via)
-        if j == target:
-            continue
-        r = owner[j]
-        match[i], owner[j] = j, i
-        while True:
-            c = via[r]
-            after = owner[c]
-            match[r], owner[c] = c, r
-            if c == target:
-                break
-            r = after
+        prev = {i: -1}  # row reached -> the row that takes its column
+        for j in cols_of[i][: cols_of[i].index(target)]:
+            if owner[j] < i or owner[j] in prev:
+                continue
+            queue = [owner[j]]
+            prev[owner[j]] = i
+            for r in queue:  # grows as it is read: breadth first
+                if tight[r, target]:
+                    break
+                for c in cols_of[r]:
+                    if owner[c] > i and owner[c] not in prev:
+                        prev[owner[c]] = r
+                        queue.append(owner[c])
+            else:
+                continue
+            c = target
+            while r != -1:  # back to row i: each row takes the column of the row it reached
+                match[r], c = c, match[r]
+                owner[match[r]], r = r, prev[r]
+            break
     return match
 
 

@@ -291,6 +291,17 @@ class TestDomainTypes:
         assert m.woman_of(1) == 0
         assert m.inverse == (1, 2, 0)
 
+    def test_matching_admits_numpy_integers(self):
+        m = Matching(np.array([1, 0]))
+        assert m == Matching((1, 0)) and m.inverse == (1, 0)
+        assert all(type(j) is int for j in m.assignment)
+        assert Matching((np.int32(0), np.uint8(1))).assignment == (0, 1)
+
+    def test_integer_range_bounds_become_python_ints(self):
+        dist = IntegerRange(np.int64(-1), np.int8(1))
+        assert (type(dist.lo), type(dist.hi)) == (int, int)
+        assert random_instance(4, 3, dist) == random_instance(4, 3, IntegerRange(-1, 1))
+
     def test_matching_out_of_range(self):
         with pytest.raises(InvalidMatchingError):
             Matching((0, 3))
@@ -390,6 +401,26 @@ REFUSALS = {
     "Matching([0.5])": (
         lambda: Matching([0.5]), MalformedInputError, "assignment[0] is not an integer"
     ),
+    "Matching([0, '1'])": (
+        lambda: Matching([0, "1"]), MalformedInputError, "assignment[1] is not an integer"
+    ),
+    "Matching([True, 0])": (
+        lambda: Matching([True, 0]), MalformedInputError, "assignment[0] is not an integer"
+    ),
+    "Matching(float64 array)": (
+        lambda: Matching(np.array([1.0, 0.0])),
+        MalformedInputError,
+        "assignment[0] is not an integer",
+    ),
+    "optimal_assignment([])": (
+        lambda: optimal_assignment([]), DimensionMismatchError, "theta must not be empty"
+    ),
+    "optimal_assignment(())": (
+        lambda: optimal_assignment(()), DimensionMismatchError, "theta must not be empty"
+    ),
+    "dual_cuts on []": (
+        lambda: dual_cuts([], Matching((0,))), DimensionMismatchError, "theta must not be empty"
+    ),
     "CutVector empty": (
         lambda: CutVector((), ()), DimensionMismatchError, "cut vectors must not be empty"
     ),
@@ -429,6 +460,20 @@ REFUSALS = {
     ),
     "random_instance n=2.5": (
         lambda: random_instance(2.5, 1), MalformedInputError, "n must be an integer"
+    ),
+    "random_instance seed=1.5": (
+        lambda: random_instance(2, 1.5), MalformedInputError, "seed must be an integer"
+    ),
+    "random_instance seed=True": (
+        lambda: random_instance(2, True), MalformedInputError, "seed must be an integer"
+    ),
+    "check_assumption seed=1.5": (
+        lambda: check_assumption(BargainingModel("ft"), BOXED, 3, 1.5),
+        MalformedInputError,
+        "seed must be an integer",
+    ),
+    "mixed_instance_stream seed=1.5": (
+        lambda: mixed_instance_stream(2, 1.5), MalformedInputError, "seed must be an integer"
     ),
     "parse_instance list": (
         lambda: parse_instance("[]"), MalformedInputError, "instance JSON must be an object"
@@ -482,6 +527,12 @@ REFUSALS = {
         lambda: SplitMix64(1).randint(3, 2), DomainError, "empty integer range [3, 2]"
     ),
     "IntegerRange empty": (lambda: IntegerRange(3, 2), DomainError, "empty integer range [3, 2]"),
+    "IntegerRange lo=0.5": (
+        lambda: IntegerRange(0.5, 3), MalformedInputError, "lo must be an integer"
+    ),
+    "IntegerRange hi='3'": (
+        lambda: IntegerRange(0, "3"), MalformedInputError, "hi must be an integer"
+    ),
     "best_cycle_bruteforce n=11": (
         lambda: best_cycle_bruteforce([[0.0] * 11] * 11, 1e-9),
         SizeLimitError,

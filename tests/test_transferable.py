@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from matchkit import (
     CutVector,
@@ -53,6 +55,23 @@ def chain_value_oracle(theta, matching, target):
             value = sum(hop(chain[l], chain[l + 1]) for l in range(k))
             best = min(best, value)
     return best
+
+
+def lex_first_by_matching_oracle(tight):
+    """Rows fixed in order: each takes its smallest free tight column for
+    which scipy's bipartite matching still matches every later row."""
+    n = len(tight)
+    free = list(range(n))
+    for i in range(n):
+        for j in free:
+            rest = [c for c in free if c != j]
+            if tight[i, j] and (
+                i + 1 == n
+                or (maximum_bipartite_matching(csr_matrix(tight[i + 1 :][:, rest])) >= 0).all()
+            ):
+                break
+        free.remove(j)
+        yield j
 
 
 class TestOptimalAssignment:
@@ -140,6 +159,26 @@ class TestOneSolveTieBreak:
                 for scale in (1.0, 1e3, 1e8):
                     theta = tuple(tuple(scale * x + scale * y for y in b) for x in a)
                     assert optimal_assignment(theta)[0].assignment == tuple(range(n))
+
+    @pytest.mark.parametrize(
+        "dist",
+        [IntegerRange(0, 1), IntegerRange(-1, 1), None],
+        ids=["int:0:1", "int:-1:1", "additive"],
+    )
+    @pytest.mark.parametrize("n", [5, 12, 25, 40, 60])
+    def test_lex_first_matches_independent_oracle(self, dist, n):
+        for seed in range(3):
+            rng = SplitMix64(derive_seed(87, n, seed))
+            if dist is None:
+                a = [rng.uniform01() for _ in range(n)]
+                b = [rng.uniform01() for _ in range(n)]
+                arr = np.add.outer(a, b)
+            else:
+                arr = np.array(random_instance(n, rng.next_u64(), dist).theta_m)
+            _, cols = linear_sum_assignment(arr, maximize=True)
+            tight = transferable._tight_edges(arr, cols)
+            expected = list(lex_first_by_matching_oracle(tight))
+            assert transferable._lex_first_perfect_matching(tight, cols.tolist()) == expected
 
     def test_zero_eps_on_ties(self):
         theta = ((1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 1.0))
