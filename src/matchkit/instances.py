@@ -37,6 +37,8 @@ Matrix = tuple[tuple[float, ...], ...]
 _PLAIN_NUMBERS = {int, float, np.float64}
 _FLOATS = {float}  # a row of these is kept as it is
 
+GENERATION_LIMIT = 2000  # random_instance holds 2n^2 Python floats at once
+
 
 def _coerce_matrix(rows, n: int, name: str) -> Matrix:
     """Validate an n-by-n matrix of finite numbers; return it frozen."""
@@ -98,7 +100,8 @@ def _check_count(name: str, value, low: int) -> int:
 
 
 def _check_limit(what: str, n: int, limit: int) -> None:
-    """The one guard in front of exponential work: at most ``limit`` couples."""
+    """The one size guard, in front of exponential work or a table too
+    large to draw: at most ``limit`` couples."""
     if n > limit:
         raise SizeLimitError(f"{what} limited to n <= {limit}, got {n}")
 
@@ -302,6 +305,7 @@ def preference_orders(inst: Instance) -> PreferenceProfile:
 def random_instance(n: int, seed: int, dist: Distribution = Uniform01()) -> Instance:
     """Seeded random instance; identical bits for identical arguments."""
     n = _check_count("n", n, 1)
+    _check_limit("instance generation", n, GENERATION_LIMIT)
     rng = SplitMix64(_check_integer("seed", seed))
     theta_m = tuple(tuple(dist.sample(rng) for _ in range(n)) for _ in range(n))
     theta_w = tuple(tuple(dist.sample(rng) for _ in range(n)) for _ in range(n))

@@ -6,16 +6,16 @@ couples can rotate partners for a positive total gain, which in turn is
 exactly when the matching maximizes total reward.  The supporting cut
 vector comes from shortest-path potentials over the chain graph and
 certifies stability: matched pairs split their reward exactly, and no
-other pair's reward exceeds the sum of its two cuts.  Those potentials
-settle exactly when no blocking chain exists, so they decide stability;
-the cycle detector runs only to name a witness, or where rounding could
-hide a chain.
+other pair's reward exceeds the sum of its two cuts.  A blocking chain
+keeps those potentials from settling, but so can rounding on tied tables;
+the cuts certify stability when they bound every chain's gain by eps,
+and the cycle detector runs only to name a witness, or where rounding
+could hide a chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Sequence, Union
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import DimensionMismatchError, NotCyclicallyMonotoneError, Precondi
 from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row
 from .tolerance import DEFAULT_EPS, rounding_bound
 
-_DIVERGED = "chain potentials diverge: a blocking chain exists"
+_DIVERGED = "chain potentials diverge: the relaxation does not settle in 4n passes"
 
 
 @dataclass(frozen=True)
@@ -222,9 +222,10 @@ def dual_cuts(
     satisfies u[i] + v[j] >= theta[i][j] for every pair, with equality
     on matched pairs.
 
-    The relaxation is the stability check: when it settled and its cuts
-    bound, rounding included, every chain gain the cycle detector could
-    compute by ``eps``, they are returned.  Otherwise the detector runs
+    The relaxation is the stability check: when its cuts bound, rounding
+    included, every chain gain the cycle detector could compute by
+    ``eps``, they are returned, settled or not (rounding-level cycles
+    keep it from settling on tied tables).  Otherwise the detector runs
     to name a witness chain; without one, an unsettled relaxation is
     reported as divergence.  Large rewards always run it, and so does
     ``eps`` = 0 unless the table holds small integers.
@@ -243,7 +244,8 @@ def dual_cuts(
     # couples of s(own pair) - s(pair taken).  Own slacks are within one
     # rounding of size = max|theta| + max|u| + max|v| of zero and computed
     # slacks within three of exact, and the detector re-sums weights within
-    # the row ranges: no chain it computes gains more than ``bound``.
+    # the row ranges: no chain it computes gains more than ``bound``, whether
+    # or not the relaxation settled.
     with np.errstate(over="ignore", invalid="ignore"):
         size = np.abs(arr).max() + np.abs(u).max() + np.abs(v).max()
         bound = rounding_bound(4, n * size) - n * (np.add.outer(u, v) - arr).min()
@@ -253,7 +255,7 @@ def dual_cuts(
     # of at most 4n hops), cut and slack is an integer below 2**53, so floats
     # hold it exactly and a settled relaxation certifies with no rounding term.
     if not (
-        settled and (bound <= eps or np.abs(arr).max() <= 2.0**47 / n and (arr % 1 == 0).all())
+        bound <= eps or settled and np.abs(arr).max() <= 2.0**47 / n and (arr % 1 == 0).all()
     ):
         found = find_positive_cycle(_chain_weights(arr, matching), eps)
         if found is not None:
@@ -305,17 +307,3 @@ def check_optimality_of_cuts(
         )
     _, best = _optimal_assignment(arr)
     return abs(cuts.total() - best) <= max(len(arr), 1) * eps
-
-
-def bruteforce_max_matching(theta: Sequence[Sequence[float]]) -> tuple[Matching, float]:
-    """Oracle: maximum over all n! assignments by direct enumeration."""
-    mat = _square(theta).tolist()
-    n = len(mat)
-    best_perm = None
-    best_value = -float("inf")
-    for perm in permutations(range(n)):
-        value = sum(mat[i][perm[i]] for i in range(n))
-        if value > best_value:
-            best_value = value
-            best_perm = perm
-    return Matching(best_perm), best_value

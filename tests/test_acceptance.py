@@ -20,7 +20,6 @@ from matchkit import (
     PQParams,
     SplitMix64,
     Uniform01,
-    bruteforce_max_matching,
     chain_potentials,
     check_pq_monotonicity,
     combined_rewards,
@@ -47,6 +46,7 @@ from matchkit.cli import main as cli_main
 from matchkit.cycles import best_cycle_bruteforce
 
 from conftest import corpus_instance, pq_weight_matrix, seeded_permutation
+from oracles import bruteforce_max_matching
 
 EPS = 1e-9
 

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchkit import Instance, parse_instance, serialize_instance
+from matchkit import Instance, SplitMix64, Uniform01, parse_instance, serialize_instance
 from matchkit.cli import main
 
 from conftest import BOXED_THETA_M, BOXED_THETA_W
@@ -86,6 +86,25 @@ class TestSolve:
         assert result.exit_code == 2
         assert result.stderr == "error: matching admits blocking chain (0, 1) with gain 1.0\n"
         assert "core audit" not in result.output
+
+    def test_ft_fully_tied_table_certified(self, runner, tmp_path):
+        # theta_m[i][j] = a[i] + b[j]: every matching is optimal, and the
+        # relaxation does not settle, yet its cuts bound every chain.
+        rng = SplitMix64(5)
+        a = [rng.uniform01() for _ in range(5)]
+        b = [rng.uniform01() for _ in range(5)]
+        inst = Instance(5, tuple(tuple(x + y for y in b) for x in a), ((0.0,) * 5,) * 5)
+        path = tmp_path / "tied.json"
+        path.write_text(serialize_instance(inst))
+        matching = write_matching(tmp_path, "ident.json", range(5))
+        check = runner.invoke(
+            main, ["check", "--instance", str(path), "--matching", matching, "--p", "1", "--q", "1"]
+        )
+        assert check.exit_code == 0 and "stable: yes" in check.output
+        result = runner.invoke(main, ["solve", "ft", "--instance", str(path)])
+        assert result.exit_code == 0
+        assert "matching: 1→1', 2→2', 3→3', 4→4', 5→5'" in result.output
+        assert "core audit: ok" in result.output
 
     def test_out_writes_matching(self, runner, boxed_file, tmp_path):
         out = tmp_path / "m.json"
@@ -251,6 +270,16 @@ class TestGen:
             main, ["gen", "--n", "0", "--seed", "2", "--out", str(tmp_path / "x")]
         )
         assert result.exit_code == 2
+
+    def test_size_limit_exit_3_before_drawing(self, runner, tmp_path, monkeypatch):
+        draws = []
+        monkeypatch.setattr(Uniform01, "sample", lambda self, rng: draws.append(1) or 0.5)
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, ["gen", "--n", "2001", "--seed", "1", "--out", str(out)])
+        assert result.exit_code == 3
+        assert result.stderr == "error: instance generation limited to n <= 2000, got 2001\n"
+        assert result.stdout == ""
+        assert draws == [] and not out.exists()
 
 
 class TestCounterexampleFlow:

@@ -14,7 +14,6 @@ from matchkit import (
     PreconditionError,
     SizeLimitError,
     SplitMix64,
-    bruteforce_max_matching,
     canonical_fnt_cuts,
     check_assumption,
     combined_rewards,
@@ -29,7 +28,8 @@ from matchkit import (
     verify_core_point,
 )
 from matchkit.bargaining import _halfplanes
-from matchkit.exact_lp import feasible_point, satisfies
+
+from oracles import bruteforce_max_matching, feasible_point, satisfies
 
 EPS = 1e-9
 

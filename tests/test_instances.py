@@ -533,6 +533,11 @@ REFUSALS = {
     "IntegerRange hi='3'": (
         lambda: IntegerRange(0, "3"), MalformedInputError, "hi must be an integer"
     ),
+    "random_instance n=2001": (
+        lambda: random_instance(2001, 1),
+        SizeLimitError,
+        "instance generation limited to n <= 2000, got 2001",
+    ),
     "best_cycle_bruteforce n=11": (
         lambda: best_cycle_bruteforce([[0.0] * 11] * 11, 1e-9),
         SizeLimitError,

@@ -16,7 +16,6 @@ from matchkit import (
     NonFiniteEntryError,
     NotCyclicallyMonotoneError,
     PreconditionError,
-    bruteforce_max_matching,
     chain_potentials,
     check_optimality_of_cuts,
     combined_rewards,
@@ -32,6 +31,7 @@ from matchkit import transferable
 from matchkit.rng import SplitMix64
 
 from conftest import corpus_instance, count_calls, seeded_permutation
+from oracles import bruteforce_max_matching
 
 BOXED_THETA = ((2.0, 5.0), (0.0, 2.0))
 EPS = 1e-9
@@ -72,6 +72,18 @@ def lex_first_by_matching_oracle(tight):
                 break
         free.remove(j)
         yield j
+
+
+def additive_tables(scale):
+    """(n, theta) for the 140 seeded tables theta[i][j] = scale * a[i] +
+    scale * b[j], n in (2, 5, 10, 20, 40, 80, 150) and 20 seeds each:
+    every assignment ties up to rounding."""
+    for n in (2, 5, 10, 20, 40, 80, 150):
+        for seed in range(20):
+            rng = SplitMix64(derive_seed(86, n, seed))
+            a = [rng.uniform01() for _ in range(n)]
+            b = [rng.uniform01() for _ in range(n)]
+            yield n, tuple(tuple(scale * x + scale * y for y in b) for x in a)
 
 
 class TestOptimalAssignment:
@@ -149,16 +161,10 @@ class TestOneSolveTieBreak:
         assert value == sum(theta[i][matching.assignment[i]] for i in range(len(theta)))
 
     def test_additive_tables_return_the_identity(self):
-        # theta[i][j] = a[i] + b[j]: every assignment ties up to rounding, so
-        # the tie rule must see all of them as optimal.
-        for n in (2, 5, 10, 20, 40, 80, 150):
-            for seed in range(20):
-                rng = SplitMix64(derive_seed(86, n, seed))
-                a = [rng.uniform01() for _ in range(n)]
-                b = [rng.uniform01() for _ in range(n)]
-                for scale in (1.0, 1e3, 1e8):
-                    theta = tuple(tuple(scale * x + scale * y for y in b) for x in a)
-                    assert optimal_assignment(theta)[0].assignment == tuple(range(n))
+        # The tie rule must see every assignment as optimal.
+        for scale in (1.0, 1e3, 1e8):
+            for n, theta in additive_tables(scale):
+                assert optimal_assignment(theta)[0].assignment == tuple(range(n))
 
     @pytest.mark.parametrize(
         "dist",
@@ -292,6 +298,19 @@ class TestDualCuts:
         assert dual_cuts(theta, matching, eps=0.0) == expected
         assert detector == []
 
+    def test_additive_tables_certified_without_settling(self):
+        # Rounding-level cycles among the hop costs a[s] - a[t] keep the
+        # relaxation from settling, but its cuts still bound every chain.
+        unsettled = 0
+        for n, theta in additive_tables(1.0):
+            matching, _ = optimal_assignment(theta)
+            _, settled = transferable._chain_distances(
+                np.asarray(theta), np.asarray(matching.assignment), 4 * n
+            )
+            unsettled += not settled
+            assert verify_ft_core(theta, matching, dual_cuts(theta, matching))
+        assert unsettled > 100
+
     def test_rejects_blocked_matching(self, identity2):
         with pytest.raises(NotCyclicallyMonotoneError):
             dual_cuts(BOXED_THETA, identity2)
@@ -353,6 +372,24 @@ def cut_outcome(build, theta, matching, eps):
         return type(exc).__name__, str(exc)
 
 
+def dual_cuts_as_reference(theta, matching, eps):
+    """``dual_cuts``' outcome, checked against the reference composition.
+
+    They are equal, except where the reference's relaxation diverges and
+    ``dual_cuts`` returns cuts that bound every chain by eps: those must
+    certify a matching the detector calls monotone."""
+    got = cut_outcome(dual_cuts, theta, matching, eps)
+    expected = cut_outcome(reference_dual_cuts, theta, matching, eps)
+    if isinstance(got, CutVector) and expected == (
+        "NotCyclicallyMonotoneError", transferable._DIVERGED
+    ):
+        assert is_cyclically_monotone(theta, matching, eps=eps) is True
+        assert verify_ft_core(theta, matching, got, eps=eps)
+    else:
+        assert got == expected
+    return got
+
+
 # Rewards where rounding swallows unit and sub-eps gains.
 NEAR_LIMIT = (
     0.0, -0.0, 5e-324, -5e-324, 1e-10, 5e-10, 1.0, -1.0,
@@ -396,9 +433,8 @@ class TestChainPotentialsReference:
     @pytest.mark.parametrize("eps", [EPS, 0.0])
     def test_dual_cuts_equal_to_reference_composition(self, eps):
         certified = set()
-        for label, theta, matching in _potentials_corpus():
-            got = cut_outcome(dual_cuts, theta, matching, eps)
-            assert got == cut_outcome(reference_dual_cuts, theta, matching, eps), label
+        for _, theta, matching in _potentials_corpus():
+            got = dual_cuts_as_reference(theta, matching, eps)
             certified.add(isinstance(got, CutVector))
         assert certified == {True, False}
 
@@ -445,10 +481,7 @@ class TestChainPotentialsReference:
     def test_dual_cuts_equal_to_reference_near_the_float_limit(self, case):
         rows, assignment, eps = case
         theta = tuple(tuple(row) for row in rows)
-        matching = Matching(tuple(assignment))
-        assert cut_outcome(dual_cuts, theta, matching, eps) == cut_outcome(
-            reference_dual_cuts, theta, matching, eps
-        )
+        dual_cuts_as_reference(theta, Matching(tuple(assignment)), eps)
 
     @pytest.mark.parametrize(
         "theta, lost",
