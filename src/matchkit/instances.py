@@ -19,12 +19,14 @@ from itertools import permutations
 from typing import Callable, Iterator
 
 import numpy as np
+import orjson
 
 from .errors import (
     DimensionMismatchError,
     DomainError,
     InvalidMatchingError,
     MalformedInputError,
+    MatchkitError,
     NonFiniteEntryError,
     SizeLimitError,
 )
@@ -39,10 +41,16 @@ _FLOATS = {float}  # a row of these is kept as it is
 
 GENERATION_LIMIT = 2000  # random_instance holds 2n^2 Python floats at once
 
+# Iterables that are not sequences of entries: a text iterates over its
+# characters, a dict (a JSON object) over its keys.
+_NOT_SEQUENCES = (str, bytes, dict)
+
 
 def _coerce_matrix(rows, n: int, name: str) -> Matrix:
     """Validate an n-by-n matrix of finite numbers; return it frozen."""
     try:
+        if isinstance(rows, _NOT_SEQUENCES):
+            raise TypeError
         row_list = list(rows)
     except TypeError:
         raise MalformedInputError(f"{name} must be a list of rows") from None
@@ -51,6 +59,8 @@ def _coerce_matrix(rows, n: int, name: str) -> Matrix:
     out = []
     for r, row in enumerate(row_list):
         try:
+            if isinstance(row, _NOT_SEQUENCES):
+                raise TypeError
             entries = tuple(row)
         except TypeError:
             raise MalformedInputError(f"{name} row {r} must be a list") from None
@@ -322,14 +332,62 @@ def _load_json(text: str):
         raise MalformedInputError("not valid JSON: nested too deeply") from None
 
 
-def parse_instance(text: str) -> Instance:
-    """Read an instance from its JSON form.
+# The depth guard's view of a text: quotes, backslashes and brackets,
+# every bracket read as a square one.
+_SQUARE_BRACKETS = bytes.maketrans(b"{}", b"[]")
+_NOT_SKELETON = bytes(sorted(set(range(256)) - set(b'"[]{}\\')))
+_SCHEMA_DEPTH = 3  # an instance's object, table and row; a matching nests 2 deep
 
-    Expected shape: ``{"n": int, "theta_m": [[...]], "theta_w": [[...]],
-    "beta": [[...]]}`` with ``beta`` optional.  Malformed JSON, shape
-    mismatches, and non-finite entries raise distinct errors.
+
+def _shallow_utf8(text: str) -> bytes | None:
+    """``text`` as UTF-8 when its brackets outside strings nest at most
+    _SCHEMA_DEPTH deep and close, else None (so too for a backslash or a
+    lone surrogate).
+
+    Quotes pair left to right, as a parser pairs them when no backslash
+    escapes one.  Each round strips every bracket pair that encloses
+    nothing, one level of nesting, so the skeleton empties within
+    _SCHEMA_DEPTH rounds exactly when the guard holds.  A ``[`` closed by
+    ``}`` passes, but a parser refuses it on reaching the ``}``, no
+    deeper than the guard allows.
     """
-    data = _load_json(text)
+    try:
+        raw = text.encode()
+    except UnicodeEncodeError:
+        return None
+    skeleton = raw.translate(_SQUARE_BRACKETS, _NOT_SKELETON)
+    pieces = skeleton.split(b'"')  # even pieces lie outside strings
+    if b"\\" in skeleton or len(pieces) % 2 == 0:
+        return None
+    skeleton = b"".join(pieces[::2])
+    for _ in range(_SCHEMA_DEPTH):
+        skeleton = skeleton.replace(b"[]", b"")
+    return None if skeleton else raw
+
+
+def _orjson_build(text: str, build: Callable):
+    """``build`` applied to orjson's value of ``text``, or None when the
+    depth guard, orjson or ``build`` refuses it.
+
+    orjson may see only texts that pass the guard: it crashes on deep
+    nesting and accepts some that ``json`` refuses.  Its floats are
+    correctly rounded, as ``float()`` is.  It refuses NaN, infinities,
+    lone surrogates, integers beyond a float and broken JSON, and reads
+    integers of 2**64 and more as floats, which ``build`` may refuse.  On
+    None the caller decides from _load_json, so every outcome, value or
+    error, is the stdlib's; it calls _load_json itself, because
+    ``json.loads``'s nesting limit counts the caller's stack frames.
+    """
+    raw = _shallow_utf8(text) if isinstance(text, str) else None
+    if raw is None:
+        return None
+    try:
+        return build(orjson.loads(raw))
+    except (orjson.JSONDecodeError, MatchkitError):
+        return None
+
+
+def _instance_from(data) -> Instance:
     if not isinstance(data, dict):
         raise MalformedInputError("instance JSON must be an object")
     missing = [key for key in ("n", "theta_m", "theta_w") if key not in data]
@@ -341,6 +399,17 @@ def parse_instance(text: str) -> Instance:
         theta_w=data["theta_w"],
         beta=data.get("beta"),
     )
+
+
+def parse_instance(text: str) -> Instance:
+    """Read an instance from its JSON form.
+
+    Expected shape: ``{"n": int, "theta_m": [[...]], "theta_w": [[...]],
+    "beta": [[...]]}`` with ``beta`` optional.  Malformed JSON, shape
+    mismatches, and non-finite entries raise distinct errors.
+    """
+    inst = _orjson_build(text, _instance_from)
+    return _instance_from(_load_json(text)) if inst is None else inst
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -355,15 +424,19 @@ def serialize_instance(inst: Instance) -> str:
     return json.dumps(payload, indent=2)
 
 
-def parse_matching(text: str) -> Matching:
-    """Read a matching from ``{"assignment": [ints]}`` (0-based)."""
-    data = _load_json(text)
+def _matching_from(data) -> Matching:
     if not isinstance(data, dict) or "assignment" not in data:
         raise MalformedInputError('matching JSON must be an object with key "assignment"')
     assignment = data["assignment"]
     if not isinstance(assignment, list):
         raise MalformedInputError("assignment must be a list of integers")
     return Matching(tuple(assignment))
+
+
+def parse_matching(text: str) -> Matching:
+    """Read a matching from ``{"assignment": [ints]}`` (0-based)."""
+    matching = _orjson_build(text, _matching_from)
+    return _matching_from(_load_json(text)) if matching is None else matching
 
 
 def serialize_matching(matching: Matching) -> str:

@@ -1,10 +1,17 @@
 import json
 import math
 import os
+import random
 import re
+import struct
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +64,7 @@ from matchkit import (
     verify_ft_core,
 )
 from matchkit.cycles import best_cycle_bruteforce
+from matchkit.instances import _instance_from, _load_json, _matching_from, _shallow_utf8
 
 from conftest import BOXED_THETA_M, BOXED_THETA_W, ranking_corpus
 
@@ -284,6 +292,201 @@ class TestSerialization:
             parse_matching('{"assignment": [0, 0]}')
 
 
+# Values that json and orjson read apart, or that one of them refuses.
+DECODE_ATOMS = (
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "-0", "18446744073709551616",
+    "1" + "0" * 400, '"\\ud800"', '"[["', "true", "null", "[]", "{}",
+)
+
+
+def decode_outcome(parse, text):
+    """The value's repr (exact for floats, -0.0 included), or the error's
+    class and text."""
+    try:
+        return repr(parse(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def fuzz_entry(rng):
+    roll = rng.random()
+    if roll < 0.15:
+        return rng.choice(DECODE_ATOMS)
+    if roll < 0.3:
+        return str(rng.randint(-5, 5))
+    return repr(rng.uniform(-1e3, 1e3))
+
+
+def fuzz_instance_text(rng):
+    n = rng.randint(1, 3)
+    fields = {"n": str(n) if rng.random() < 0.85 else rng.choice(DECODE_ATOMS)}
+    for name in ("theta_m", "theta_w", "beta"):
+        if name == "beta" and rng.random() < 0.7:
+            continue
+        rows = ["[" + ", ".join(fuzz_entry(rng) for _ in range(n)) + "]" for _ in range(n)]
+        if rng.random() < 0.1:
+            rows[rng.randrange(n)] = rng.choice(DECODE_ATOMS)
+        table = "[" + ", ".join(rows) + "]"
+        fields[name] = table if rng.random() < 0.95 else rng.choice(DECODE_ATOMS)
+    text = "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items())
+    if rng.random() < 0.1:  # a second n, which wins
+        text += ', "n": ' + rng.choice(DECODE_ATOMS + ("1", "2", "3"))
+    return text + "}"
+
+
+def fuzz_matching_text(rng):
+    n = rng.randint(1, 4)
+    entries = [str(j) for j in rng.sample(range(n), n)]
+    if rng.random() < 0.4:
+        entries[rng.randrange(n)] = rng.choice(DECODE_ATOMS + (str(n), "-1", "0.0"))
+    return '{"assignment": [' + ", ".join(entries) + "]}"
+
+
+def fuzz_texts(make, count, seed):
+    """Seeded texts from ``make``, some truncated, some behind a BOM or
+    with an ignored key."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = make(rng)
+        roll = rng.random()
+        if roll < 0.1:
+            text = text[: rng.randrange(len(text))]
+        elif roll < 0.15:
+            text = "\ufeff" + text
+        elif roll < 0.25:
+            text = text[:-1] + ', "extra": ' + rng.choice(DECODE_ATOMS) + "}"
+        yield text
+
+
+def nested_in_ignored_key(depth):
+    return '{"n": 1, "theta_m": [[0]], "theta_w": [[0]], "x": ' + "[" * depth + "]" * depth + "}"
+
+
+# What each parser returned before orjson: the stdlib value, validated.
+# Each calls _load_json from one frame below decode_outcome, as the
+# parsers do, so json's nesting limit, which counts stack frames, is the
+# same for both.
+STDLIB_PARSE = {
+    parse_instance: lambda text: _instance_from(_load_json(text)),
+    parse_matching: lambda text: _matching_from(_load_json(text)),
+}
+BUILDS = {parse_instance: _instance_from, parse_matching: _matching_from}
+
+
+class TestDecode:
+    """orjson decodes behind the depth guard; every outcome, value or
+    error, equals the stdlib build's."""
+
+    @pytest.mark.parametrize(
+        "parse, make", [(parse_instance, fuzz_instance_text), (parse_matching, fuzz_matching_text)]
+    )
+    def test_fuzz_corpus_equals_stdlib_build(self, parse, make):
+        paths = {"guard": 0, "orjson refused": 0, "build refused": 0, "orjson": 0}
+        for text in fuzz_texts(make, 3000, seed=14):
+            assert decode_outcome(parse, text) == decode_outcome(STDLIB_PARSE[parse], text), text
+            raw = _shallow_utf8(text)
+            if raw is None:
+                paths["guard"] += 1
+                continue
+            try:
+                data = orjson.loads(raw)
+            except orjson.JSONDecodeError:
+                paths["orjson refused"] += 1
+                continue
+            try:
+                BUILDS[parse](data)
+                paths["orjson"] += 1
+            except MatchkitError:
+                paths["build refused"] += 1
+        # the corpus reaches every path of the decoder
+        assert min(paths.values()) > 0, paths
+
+    @pytest.mark.parametrize(
+        "parse, text, error, message",
+        [
+            (
+                parse_instance,
+                '{"n": 100000000000000000000, "theta_m": [[0]], "theta_w": [[0]]}',
+                DimensionMismatchError,
+                "theta_m must have 100000000000000000000 rows, got 1",
+            ),
+            (
+                parse_matching,
+                '{"assignment": [18446744073709551616]}',
+                InvalidMatchingError,
+                "assignment[0]=18446744073709551616 out of range 0..0",
+            ),
+        ],
+    )
+    def test_integers_beyond_64_bits_keep_the_stdlib_error(self, parse, text, error, message):
+        assert decode_outcome(parse, text) == (error, message)
+
+    @pytest.mark.parametrize("depth", [990, 1000, 1100, 5000])
+    def test_nesting_in_an_ignored_key_as_stdlib(self, depth):
+        text = nested_in_ignored_key(depth)
+        assert _shallow_utf8(text) is None
+        assert decode_outcome(parse_instance, text) == decode_outcome(
+            STDLIB_PARSE[parse_instance], text
+        )
+
+    @pytest.mark.parametrize("parse", [parse_instance, parse_matching])
+    def test_stdlib_nesting_limit_unchanged(self, parse):
+        """At the deepest nesting json accepts from this stack depth, and
+        one level deeper, the outcome is the stdlib build's."""
+        reference = STDLIB_PARSE[parse]
+        deepest = 1000  # searched from this frame, whose depth the comparison shares
+        while "nested too deeply" in str(decode_outcome(reference, nested_in_ignored_key(deepest))):
+            deepest -= 1
+        assert deepest < 1000
+        for depth in (deepest, deepest + 1):
+            text = nested_in_ignored_key(depth)
+            assert decode_outcome(parse, text) == decode_outcome(reference, text)
+
+    def test_guard_admits_the_schema_depth_and_no_deeper(self):
+        assert _shallow_utf8(nested_in_ignored_key(2)) is not None  # 3 levels with the object
+        assert _shallow_utf8(nested_in_ignored_key(3)) is None
+        assert _shallow_utf8('{"x": "[[[[\\"", "y": [{}]}') is None  # a backslash
+        assert _shallow_utf8('{"x": "[[[[[[", "y": [{}]}') is not None
+        assert _shallow_utf8('{"x": "[}') is None  # an unterminated string
+        assert _shallow_utf8('{"x": [[]}') is None
+
+    def test_million_deep_text_exits_2_without_a_signal(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10**6 + "]" * 10**6)
+        src = str(Path(sys.modules["matchkit"].__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "matchkit.cli", "solve", "nt", "--instance", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "error: not valid JSON: nested too deeply"
+
+    def test_floats_read_bit_equal_to_float(self):
+        def bits(x):
+            return struct.pack("<d", x)
+
+        def draw():
+            return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+
+        rng = random.Random(14)
+        drawn = [draw() for _ in range(3000)]
+        for x in drawn + [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e-5]:
+            if math.isfinite(x):
+                assert bits(orjson.loads(repr(x))) == bits(x), repr(x)
+        with localcontext() as ctx:
+            ctx.prec = 1200  # holds every double and midpoint exactly
+            for _ in range(600):
+                x = abs(draw())
+                y = math.nextafter(x, math.inf)
+                if not math.isfinite(y):
+                    continue
+                mid = (Decimal(x) + Decimal(y)) / 2
+                step = Decimal(1).scaleb(mid.adjusted() - 40)
+                for d in (mid, mid + step, mid - step):
+                    assert bits(orjson.loads(str(d))) == bits(float(str(d))), str(d)
+
+
 class TestDomainTypes:
     def test_matching_inverse(self):
         m = Matching((2, 0, 1))
@@ -392,6 +595,28 @@ REFUSALS = {
         lambda: Instance(2, (5, (0, 0)), TWO_ZERO_ROWS),
         MalformedInputError,
         "theta_m row 0 must be a list",
+    ),
+    "Instance table str": (
+        lambda: parse_instance('{"n": 2, "theta_m": "ab", "theta_w": [[0, 0], [0, 0]]}'),
+        MalformedInputError,
+        "theta_m must be a list of rows",
+    ),
+    "Instance table object": (
+        lambda: Instance(2, {"a": 1, "b": 2}, TWO_ZERO_ROWS),
+        MalformedInputError,
+        "theta_m must be a list of rows",
+    ),
+    "Instance row object": (
+        lambda: parse_instance(
+            '{"n": 2, "theta_m": [[1, 2], {"x": 1, "y": 2}], "theta_w": [[0, 0], [0, 0]]}'
+        ),
+        MalformedInputError,
+        "theta_m row 1 must be a list",
+    ),
+    "Instance row bytes": (
+        lambda: Instance(2, ((1, 2), b"ab"), TWO_ZERO_ROWS),
+        MalformedInputError,
+        "theta_m row 1 must be a list",
     ),
     "Instance n=0": (lambda: Instance(0, (), ()), DomainError, "n must be >= 1, got 0"),
     "Matching(5)": (
