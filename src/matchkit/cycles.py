@@ -35,15 +35,9 @@ answers it in three stages.
    when the cover splits the gain over cycles of at most eps each and
    no predecessor graph ever held the winner.
 
-Shortest-path potentials (the dual cuts and the optimal-assignment
-tie-break) come from ``relax_potentials``, one vectorized all-sources
-Bellman-Ford pass per round, which also reports whether it settled.
-Each relaxation is the faster one on its own traffic (CPython 3.11,
-numpy 2.4, 2 cores).  The detector's row-skipping loop in its place
-gives identical cuts but takes ``dual_cuts`` from 0.48 to 0.83 ms at
-n = 50 and 3.2 to 6.9 ms at n = 150, ``optimal_assignment`` from 5.3 to
-8.9 ms at n = 150; numpy relaxation of the detector's stable weights
-takes 0.079 ms against 0.018 ms at n = 8, and 6.3 against 2.4 at 150.
+The shortest-path potentials behind the dual cuts and the
+optimal-assignment tie-break are not computed here: they come from the
+vectorized relaxation in ``transferable._chain_distances``.
 """
 
 from __future__ import annotations
@@ -219,24 +213,3 @@ def best_cycle_bruteforce(weights: WeightMatrix, eps: float) -> Found | None:
                     best = (cycle, gain)
     return best
 
-
-def relax_potentials(cost: np.ndarray, max_passes: int) -> tuple[np.ndarray, bool]:
-    """All-sources shortest-path potentials, one numpy pass per round.
-
-    Every node starts at potential zero; each pass relaxes all edges at
-    once, ``dist[t] = min_s dist[s] + cost[s, t]``.  The diagonal of
-    ``cost`` must be zero.  Returns ``(dist, settled)``: ``settled`` is
-    True when a pass changed nothing within ``max_passes`` passes, and
-    False when relaxation was still improving (a negative cycle, or one
-    lost in rounding).  ``dist`` is the last iterate either way, so
-    callers that tolerate rounding-level negative cycles get potentials
-    that are feasible up to that rounding.  A pass leaves -inf and nan
-    in place, so potentials that left the float range can settle too.
-    """
-    dist = np.zeros(cost.shape[0])
-    for _ in range(max_passes):
-        nxt = np.min(dist[:, None] + cost, axis=0)
-        if not (nxt < dist).any():
-            return dist, True
-        dist = nxt
-    return dist, False

@@ -328,6 +328,8 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"not valid JSON: {exc.msg}") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise MalformedInputError("not valid JSON: integer literal has too many digits") from None
     except RecursionError:
         raise MalformedInputError("not valid JSON: nested too deeply") from None
 

@@ -143,7 +143,8 @@ def exists_pq_stable(
     p, q = pq.p, pq.q
     # A cycle beating eps + slack keeps the detector from settling on a full
     # matching, whose weights are at most 4 reward spreads, and an unsettled
-    # detector on at most 10 couples reports a cycle.
+    # detector on at most cycles._BRUTE_FORCE_LIMIT couples, which
+    # ORACLE_LIMIT must not exceed, reports a cycle.
     slack = 0.0  # prefixes are checked from n = 4 up
     if n >= 4:
         rows = inst.theta_m + inst.theta_w

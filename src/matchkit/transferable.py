@@ -21,7 +21,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cycles import _resum_error, find_positive_cycle, relax_potentials
+from .cycles import _resum_error, find_positive_cycle
 from .errors import DimensionMismatchError, NotCyclicallyMonotoneError, PreconditionError
 from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row
 from .tolerance import DEFAULT_EPS, rounding_bound
@@ -80,8 +80,8 @@ def optimal_assignment(theta: Sequence[Sequence[float]]) -> tuple[Matching, floa
     assignments are exactly the perfect matchings of the tight edges
     u[i] + v[j] = theta[i][j].  Among tied optima the lexicographically
     smallest is returned, by one breadth-first alternating-path search
-    per row of that graph, O(n^3) at worst.  Tightness is tested to 64
-    roundings of n * max(1, max|theta|), enough for potentials summed
+    per row of that graph, O(n^3) at worst.  Tightness is tested to n
+    times 64 roundings of max(1, max|theta|), enough for potentials summed
     along chains of up to n hops: a tie rule, not a worst-case bound (a
     wider one would accept matchings more than eps below the optimum),
     nor a stability predicate, so it takes no ``eps``.
@@ -100,15 +100,34 @@ def _optimal_assignment(arr: np.ndarray) -> tuple[Matching, float]:
 def _chain_distances(
     arr: np.ndarray, assignment: np.ndarray, max_passes: int
 ) -> tuple[np.ndarray, bool]:
-    """``relax_potentials`` over the hop costs of ``chain_potentials``.
+    """All-sources shortest chains over the hop costs of ``chain_potentials``,
+    own[s] - arr[t, assignment[s]] from couple s to couple t.
 
-    The hop from couple s to couple t costs own[s] - arr[t, assignment[s]].
-    Rewards near the float limit can overflow to inf or nan here; that is
-    left to the callers rather than reported as a warning.
+    Every couple starts at distance zero; each pass relaxes all hops at
+    once, ``dist[t] = min_s dist[s] + cost[s, t]``.  ``settled`` is True
+    when a pass changed nothing within ``max_passes`` passes, and False
+    when relaxation was still improving (a negative cycle, or one lost in
+    rounding); ``dist`` is the last iterate either way.  Rewards near the
+    float limit can overflow to inf or nan, left to the callers; a pass
+    leaves -inf and nan in place, so such distances can settle too.
+
+    The cycle detector keeps its own row-skipping loop, as each is the
+    faster on its own traffic (CPython 3.11, numpy 2.4, 2 cores): that
+    loop here gives identical cuts but takes ``dual_cuts`` from 0.48 to
+    0.83 ms at n = 50 and 3.2 to 6.9 ms at n = 150, ``optimal_assignment``
+    from 5.3 to 8.9 ms at n = 150; this one on the detector's stable
+    weights takes 0.079 against 0.018 ms at n = 8, 6.3 against 2.4 at 150.
     """
     own = arr[np.arange(arr.shape[0]), assignment]
+    dist = np.zeros(arr.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        return relax_potentials(own[:, None] - arr[:, assignment].T, max_passes)
+        cost = own[:, None] - arr[:, assignment].T
+        for _ in range(max_passes):
+            nxt = np.min(dist[:, None] + cost, axis=0)
+            if not (nxt < dist).any():
+                return dist, True
+            dist = nxt
+    return dist, False
 
 
 def _tight_edges(arr: np.ndarray, assignment: np.ndarray) -> np.ndarray:
@@ -128,8 +147,9 @@ def _tight_edges(arr: np.ndarray, assignment: np.ndarray) -> np.ndarray:
         u = -dist
         v = np.empty(n)
         v[assignment] = own - u
-        scale = n * max(1.0, float(np.abs(arr).max(initial=0.0)))
-        tight = u[:, None] + v[None, :] - arr <= rounding_bound(64, scale)
+        # scaled by n after the rounding factor: n * max|theta| can overflow
+        slack = n * rounding_bound(64, max(1.0, float(np.abs(arr).max(initial=0.0))))
+        tight = u[:, None] + v[None, :] - arr <= slack
     tight[rows, assignment] = True
     return tight
 
@@ -234,12 +254,11 @@ def dual_cuts(
     n = len(arr)
     assignment = np.asarray(matching.assignment)
     dist, settled = _chain_distances(arr, assignment, 4 * n)
-    u_raw = (-dist).tolist()
-    anchor = min(u_raw)
-    u = [x - anchor for x in u_raw]
-    v = [0.0] * n
-    for i, own in enumerate(arr[np.arange(n), assignment].tolist()):
-        v[matching.assignment[i]] = own - u[i]
+    v = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = -dist
+        u -= min(u.tolist())  # a list's min skips a nan that is not first
+        v[assignment] = arr[np.arange(n), assignment] - u
     # With s = u + v - theta, a chain's gain telescopes to the sum over its
     # couples of s(own pair) - s(pair taken).  Own slacks are within one
     # rounding of size = max|theta| + max|u| + max|v| of zero and computed
@@ -264,7 +283,7 @@ def dual_cuts(
             )
         if not settled:
             raise NotCyclicallyMonotoneError(_DIVERGED)
-    return CutVector(tuple(u), tuple(v))
+    return CutVector(tuple(u.tolist()), tuple(v.tolist()))
 
 
 def verify_ft_core(

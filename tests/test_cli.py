@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchkit import Instance, SplitMix64, Uniform01, parse_instance, serialize_instance
+from matchkit import cli
 from matchkit.cli import main
 
 from conftest import BOXED_THETA_M, BOXED_THETA_W
@@ -105,6 +106,23 @@ class TestSolve:
         assert result.exit_code == 0
         assert "matching: 1→1', 2→2', 3→3', 4→4', 5→5'" in result.output
         assert "core audit: ok" in result.output
+
+    def test_ft_scale_beyond_float_range_finds_the_optimum(self, runner, tmp_path):
+        # n * max|theta| overflows, which must not make every pair tight.
+        big = ((0.0, 5e307, 0.0, 0.0),) + ((0.0,) * 4,) * 3
+        path = tmp_path / "wide.json"
+        path.write_text(serialize_instance(Instance(4, big, ((0.0,) * 4,) * 4)))
+        result = runner.invoke(main, ["solve", "ft", "--instance", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "matching: 1→2', 2→1', 3→3', 4→4'" in result.output
+        assert "total value: 5e+307" in result.output
+        assert "core audit: ok" in result.output
+
+    def test_nt_reports_blocking_pairs(self, runner, boxed_file, monkeypatch):
+        monkeypatch.setattr(cli, "find_fnt_blocking_pairs", lambda *args, **kwargs: [(0, 1), (1, 0)])
+        result = runner.invoke(main, ["solve", "nt", "--instance", boxed_file])
+        assert result.exit_code == 0
+        assert result.output.endswith("blocking pairs: (1, 2'), (2, 1')\n")
 
     def test_out_writes_matching(self, runner, boxed_file, tmp_path):
         out = tmp_path / "m.json"
@@ -514,6 +532,23 @@ class TestHygiene:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
         assert "theta_m[0][0] is not finite" in result.output
+
+    @pytest.mark.parametrize("kind", ["instance", "matching"])
+    def test_integer_literal_past_digit_limit_exit_2(self, runner, boxed_file, tmp_path, kind):
+        # Python refuses to convert integer literals of more than 4,300 digits.
+        digits = "1" * 5000
+        if kind == "instance":
+            path = tmp_path / "long.json"
+            path.write_text('{"n": 1, "theta_m": [[' + digits + ']], "theta_w": [[0]]}')
+            args = ["solve", "nt", "--instance", str(path)]
+        else:
+            path = tmp_path / "long_matching.json"
+            path.write_text('{"assignment": [' + digits + ", 0]}")
+            args = ["check", "--instance", boxed_file, "--matching", str(path), "--p", "0", "--q", "0"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert result.stderr == "error: not valid JSON: integer literal has too many digits\n"
 
     @pytest.mark.parametrize(
         "extra",

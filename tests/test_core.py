@@ -308,6 +308,18 @@ class TestAssumptionAudit:
             report = check_assumption(model, inst, 1500, seed=31)
             assert report.ok, report.violations
 
+    def test_reports_each_violation_kind(self, boxed, monkeypatch):
+        # The points above the line u + v = c1 as a feasible set: it admits
+        # points over the budget, is not downward closed, and rejects the corner.
+        def above_budget_line(model, inst, i, j, u, v, *, eps):
+            return u + v > 5.0
+
+        monkeypatch.setattr(bargaining, "in_feasible_set", above_budget_line)
+        report = check_assumption(BargainingModel("ft"), boxed, 200, seed=7)
+        assert report.c1 == 5.0
+        for phrase in (") exceeds budget 5.0", "downward closure fails", ") rejected below"):
+            assert any(phrase in text for text in report.violations), phrase
+
     def test_tiny_beta_corner_level_is_finite(self):
         # tw/beta overflows to inf; the corner level (beta*tm + tw)/(1 + beta)
         # is then tw to the last bit, capped by tm.

@@ -442,6 +442,18 @@ class TestDecode:
             text = nested_in_ignored_key(depth)
             assert decode_outcome(parse, text) == decode_outcome(reference, text)
 
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_instance, '{"n": 1, "theta_m": [[0]], "theta_w": [[0]], "x": "\ud800"}'),
+            (parse_matching, '{"assignment": [0], "x": "\udfff"}'),
+        ],
+    )
+    def test_raw_lone_surrogate_as_stdlib(self, parse, text):
+        # a str, not UTF-8: the surrogate itself, not an escape of it
+        assert "\\" not in text and _shallow_utf8(text) is None
+        assert decode_outcome(parse, text) == decode_outcome(STDLIB_PARSE[parse], text)
+
     def test_guard_admits_the_schema_depth_and_no_deeper(self):
         assert _shallow_utf8(nested_in_ignored_key(2)) is not None  # 3 levels with the object
         assert _shallow_utf8(nested_in_ignored_key(3)) is None

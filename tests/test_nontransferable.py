@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchkit import nontransferable
 from matchkit import (
     Instance,
     IntegerRange,
@@ -230,6 +231,16 @@ class TestMenOptimality:
             inst = random_instance((idx % 6) + 1, derive_seed(8, idx))
             report = verify_men_optimality(inst)
             assert report.applicable and report.holds, idx
+
+    def test_reports_a_man_who_prefers_another_stable_matching(self, monkeypatch):
+        # Men-optimal (0, 1) and women-optimal (1, 0) are both stable; a
+        # proposal run that returned the latter fails the check for man 0.
+        inst = Instance(2, ((1, 0), (0, 1)), ((0, 1), (1, 0)))
+        monkeypatch.setattr(nontransferable, "gale_shapley", lambda inst: Matching((1, 0)))
+        report = verify_men_optimality(inst)
+        assert report.applicable and report.holds is False
+        assert report.stable_count == 2
+        assert report.detail == "man 0 prefers stable matching (0, 1)"
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):

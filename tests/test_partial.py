@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchkit.cycles as cycles
 import matchkit.partial_transfer as partial_transfer
 from matchkit import (
     DomainError,
@@ -301,6 +302,11 @@ class TestExistenceOracle:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             exists_pq_stable(random_instance(9, 0), PQParams(0.5, 0.5))
+
+    def test_oracle_sizes_reach_the_detector_enumeration(self):
+        # The prefix cut relies on an unsettled detector reporting a cycle,
+        # which its enumeration stage guarantees only up to its limit.
+        assert partial_transfer.ORACLE_LIMIT <= cycles._BRUTE_FORCE_LIMIT
 
 
 def counting_detector(monkeypatch):

@@ -92,6 +92,13 @@ class TestOptimalAssignment:
         assert matching.assignment == (1, 0)
         assert value == 5.0
 
+    def test_scale_beyond_float_range_keeps_the_optimum(self):
+        # n * max|theta| overflows; the tie rule must not read every pair as tight.
+        theta = [[0, 5e307, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        matching, value = optimal_assignment(theta)
+        assert matching.assignment == (1, 0, 2, 3)
+        assert value == 5e307
+
     def test_dominant_diagonal(self):
         theta = tuple(
             tuple(6.0 + i if i == j else 0.0 for j in range(4)) for i in range(4)
