@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# Runs every CLI command once on a 4-couple instance, through the command
+# given as arguments (default: the installed `matchkit` console script):
+#
+#   bash .github/cli_smoke.sh                        # the entry point
+#   bash .github/cli_smoke.sh python -m matchkit.cli # the module
+#
+# Exits 1 at the first command whose exit code is not 0, or 1 with an
+# "unstable" verdict ("stable: no", "core-valid: no").
+set -u
+if [ "$#" -eq 0 ]; then
+  set -- matchkit
+fi
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+step() {
+  local out code=0
+  out=$("$@" 2>&1) || code=$?
+  printf '$ %s\n%s\n' "$*" "$out"
+  if [ "$code" -eq 1 ] && grep -Eq '^(stable|core-valid): no' <<<"$out"; then
+    return 0
+  fi
+  if [ "$code" -ne 0 ]; then
+    echo "exit $code" >&2
+    exit 1
+  fi
+}
+
+step "$@" gen --n 4 --seed 7 --out "$work/inst.json"
+step "$@" solve nt --instance "$work/inst.json" --out "$work/nt.json"
+step "$@" solve ft --instance "$work/inst.json" --out "$work/ft.json"
+step "$@" check --instance "$work/inst.json" --matching "$work/ft.json" --p 0 --q 0
+step "$@" check --instance "$work/inst.json" --matching "$work/nt.json" --p 0.5 --q 0.5
+step "$@" core --model fnt --instance "$work/inst.json" --matching "$work/ft.json"
+step "$@" counterexample --p 0.2 --q 0.8 --out "$work/ce.json"
+step "$@" sweep --n 3 --grid 3 --trials 2 --seed 1 --out "$work/sweep.csv"
+echo "cli smoke: all commands ran"

@@ -34,7 +34,7 @@ from .instances import (
     CutVector, Instance, Matching, Matrix, _check_count, _check_fits, _check_limit, _coerce_matrix
 )
 from .rng import SplitMix64, _check_integer
-from .tolerance import DEFAULT_EPS
+from .tolerance import DEFAULT_EPS, _check_tolerance
 
 MODEL_KINDS = ("fnt", "ft", "ft_nonneg", "ft_m2w", "ft_taxed")
 
@@ -138,6 +138,7 @@ def in_feasible_set(
     eps: float = DEFAULT_EPS,
 ) -> bool:
     """Closed-set membership: can couple (i, j) guarantee cuts (u, v)?"""
+    _check_tolerance(eps)
     _check_pair(inst, i, j)
     return _holds(model, inst, i, j, u, v, eps, strict=False)
 
@@ -157,6 +158,7 @@ def in_interior(
     The built-in sets are full-dimensional half-plane intersections, so
     all-strict equals the topological interior.
     """
+    _check_tolerance(eps)
     _check_pair(inst, i, j)
     return _holds(model, inst, i, j, u, v, eps, strict=True)
 
@@ -204,6 +206,7 @@ def check_assumption(
     *,
     eps: float = DEFAULT_EPS,
 ) -> AssumptionReport:
+    _check_tolerance(eps)
     samples = _check_count("samples", samples, 1)
     seed = _check_integer("seed", seed)
     n = inst.n
@@ -213,6 +216,8 @@ def check_assumption(
     span = max(c1 - c2, 1.0)
     lo = c2 - span - 1.0
     hi = c1 + span + 1.0
+    if not math.isfinite(hi - lo):  # every sample would be nan or infinite
+        raise PreconditionError(f"cannot sample around budget c1={c1} and corner c2={c2}")
     rng = SplitMix64(seed)
     violations: list[str] = []
     for _ in range(samples):
@@ -247,6 +252,7 @@ def verify_core_point(
     Every matched pair must be able to guarantee its cuts, and no pair
     whatsoever may sit in the interior of its own feasibility set.
     """
+    _check_tolerance(eps)
     n = inst.n
     _check_fits(n, matching, cuts)
     for i in range(n):
@@ -404,6 +410,7 @@ def search_core(
     point out here (identity matching, theta_m = [[1, 1.0000000001],
     [1, 1]], theta_w = 0, "ft").
     """
+    _check_tolerance(eps)
     n = inst.n
     _check_fits(n, matching)
     _check_limit("core search", n, CORE_SEARCH_LIMIT)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .instances import Instance, Matching, _check_fits, _check_limit, _lex_search, preference_orders
-from .tolerance import DEFAULT_EPS
+from .tolerance import DEFAULT_EPS, _check_tolerance
 
 ENUMERATION_LIMIT = 8
 
@@ -29,6 +29,7 @@ def find_fnt_blocking_pairs(
     theta_m[i][j] - theta_m[i][current woman] and
     theta_w[i][j] - theta_w[current man of j][j] exceed eps.
     """
+    _check_tolerance(eps)
     _check_fits(inst.n, matching)
     n = inst.n
     assignment, inverse = matching.assignment, matching.inverse
@@ -43,13 +44,13 @@ def _blocking_women(inst: Instance, i: int, wi: int, women, husbands, eps: float
     """The women j among ``women`` who block with man i: he, married to
     woman wi, and she, married to the matching entry of ``husbands``,
     both gain more than eps by marrying each other.  His own wife never
-    blocks."""
+    blocks: his gain with her is exactly 0, and eps >= 0."""
     row_m, row_w, theta_w = inst.theta_m[i], inst.theta_w[i], inst.theta_w
     own = row_m[wi]
     return [
         j
         for j, mj in zip(women, husbands)
-        if row_m[j] - own > eps and row_w[j] - theta_w[mj][j] > eps and j != wi
+        if row_m[j] - own > eps and row_w[j] - theta_w[mj][j] > eps
     ]
 
 
@@ -130,6 +131,7 @@ def enumerate_fnt_stable(inst: Instance, *, eps: float = DEFAULT_EPS) -> list[Ma
     the placed men, since a pair blocks by its two partners alone; a
     blocking one cuts every completion.  Guarded to n <= 8.
     """
+    _check_tolerance(eps)
     n = inst.n
     _check_limit("stable-set enumeration", n, ENUMERATION_LIMIT)
 
@@ -161,6 +163,7 @@ class MenOptimalityReport:
 def verify_men_optimality(inst: Instance, *, eps: float = DEFAULT_EPS) -> MenOptimalityReport:
     """Check, by enumeration, that no stable matching beats men-proposing
     deferred acceptance for any man (rank measured in his derived list)."""
+    _check_tolerance(eps)
     prefs = preference_orders(inst)
     if prefs.has_ties:
         return MenOptimalityReport(False, None, 0, "instance has tied rewards; not applicable")

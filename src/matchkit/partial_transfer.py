@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
+import numpy as np
+
 from .cycles import _settle_error, find_positive_cycle
 from .errors import DomainError
 from .instances import (
@@ -25,7 +27,7 @@ from .instances import (
     _lex_search, random_instance,
 )
 from .rng import SplitMix64, Uniform01, _check_integer, derive_seed
-from .tolerance import DEFAULT_EPS
+from .tolerance import DEFAULT_EPS, _check_tolerance
 
 ORACLE_LIMIT = 8
 SWEEP_LIMIT = 6
@@ -83,29 +85,36 @@ class PQChainWitness:
         return False
 
 
-def _pq_weights(inst: Instance, assignment, p: float, q: float) -> list[list[float]]:
-    """weights[a][b]: the p-clipped delta_q of couple a's man courting
-    couple b's woman; zero on the diagonal.  ``assignment`` may be a
-    prefix: its couples get the weights a full matching gives them."""
-    n = len(assignment)
-    theta_m, theta_w = inst.theta_m, inst.theta_w
-    own_w = [theta_w[b][assignment[b]] for b in range(n)]
-    weights = [[0.0] * n for _ in range(n)]
-    for a in range(n):
-        row_m = theta_m[a]
-        row_w = theta_w[a]
-        base_m = row_m[assignment[a]]
-        row = weights[a]
-        for b in range(n):
-            if a == b:
-                continue
-            wb = assignment[b]
+def _pq_weights(theta_m: np.ndarray, theta_w: np.ndarray, assignment, p: float, q: float):
+    """weights[a][b]: the p-clipped delta_q of couple a's man courting couple
+    b's woman, for a whole matching.  At (1, 1), on a pooled table and a zero
+    women's table, these are the fully transferable chain gains."""
+    cols = np.asarray(assignment)
+    own = np.arange(len(cols)), cols
+    with np.errstate(over="ignore", invalid="ignore"):
+        ga = theta_m[:, cols] - theta_m[own][:, None]
+        gb = theta_w[:, cols] - theta_w[own]
+        x, y = q * ga + gb, q * gb + ga
+        d = np.where(y < x, y, x)  # a nan lands where the loop's min puts it
+        return np.where(d >= 0, d, p * d).tolist()
+
+
+def _prefix_weights(inst: Instance, prefix, p: float, q: float) -> list[list[float]]:
+    """``_pq_weights`` for the couples of ``prefix``, a matching's first men,
+    by the same float operations in Python, the faster form at the oracle's
+    at most 8 couples.  On finite tables a couple's own margin is exactly 0."""
+    own_w = [inst.theta_w[b][wb] for b, wb in enumerate(prefix)]
+    weights = []
+    for row_m, row_w, wa in zip(inst.theta_m, inst.theta_w, prefix):
+        base_m = row_m[wa]
+        row = []
+        for wb, ow in zip(prefix, own_w):
             ga = row_m[wb] - base_m
-            gb = row_w[wb] - own_w[b]
-            x = q * ga + gb
-            y = q * gb + ga
+            gb = row_w[wb] - ow
+            x, y = q * ga + gb, q * gb + ga
             d = y if y < x else x  # min(x, y), without the call
-            row[b] = d if d >= 0.0 else p * d
+            row.append(d if d >= 0.0 else p * d)
+        weights.append(row)
     return weights
 
 
@@ -118,12 +127,11 @@ def find_pq_blocking_chain(
     a's man courting b's woman; a chain activates exactly when some
     simple cycle has positive clipped sum.
     """
+    _check_tolerance(eps)
     _check_fits(inst.n, matching)
-    found = find_positive_cycle(_pq_weights(inst, matching.assignment, pq.p, pq.q), eps)
-    if found is None:
-        return True
-    cycle, gain = found
-    return PQChainWitness(cycle=cycle, clipped_gain=gain)
+    tables = np.array(inst.theta_m), np.array(inst.theta_w)
+    found = find_positive_cycle(_pq_weights(*tables, matching.assignment, pq.p, pq.q), eps)
+    return True if found is None else PQChainWitness(*found)
 
 
 def exists_pq_stable(
@@ -138,6 +146,7 @@ def exists_pq_stable(
     blocks every completion and cuts them, when its gain clears eps by
     more than the detector's rounding on a full matching.
     """
+    _check_tolerance(eps)
     n = inst.n
     _check_limit("existence oracle", n, ORACLE_LIMIT)
     p, q = pq.p, pq.q
@@ -151,11 +160,11 @@ def exists_pq_stable(
         slack = _settle_error(n, 4.0 * (max(map(max, rows)) - min(map(min, rows))), eps)
 
     def admits(prefix: tuple[int, ...]) -> bool:
-        found = find_positive_cycle(_pq_weights(inst, prefix, p, q), eps)
+        found = find_positive_cycle(_prefix_weights(inst, prefix, p, q), eps)
         return found is None or found[1] <= eps + slack
 
     for leaf in _lex_search(n, admits, n - 2):
-        if find_positive_cycle(_pq_weights(inst, leaf, p, q), eps) is None:
+        if find_positive_cycle(_prefix_weights(inst, leaf, p, q), eps) is None:
             return Matching(leaf)
     return None
 
@@ -169,6 +178,7 @@ def counterexample_instance(p: float, q: float, *, eps: float = DEFAULT_EPS) -> 
     and the swapped matching breaks because both reverse hops have
     positive margin outright.
     """
+    _check_tolerance(eps)
     _check_unit_interval("p", p)
     _check_unit_interval("q", q)
     if q - p <= 10.0 * eps:
@@ -211,6 +221,7 @@ def pq_plane_sweep(
     and the existence oracle decides existence.  Cells are independent
     work units; results are identical to sequential execution.
     """
+    _check_tolerance(eps)
     grid_steps = _check_count("grid_steps", grid_steps, 2)
     trials = _check_count("trials", trials, 1)
     cells = []
@@ -272,13 +283,15 @@ def check_pq_monotonicity(
     grid.  Each cell is one detector call, with no size guard: an 11 by 11
     grid takes about 1 s at n = 150.
     """
+    _check_tolerance(eps)
     grid_steps = _check_count("grid_steps", grid_steps, 2)
     _check_fits(inst.n, matching)
+    tables = np.array(inst.theta_m), np.array(inst.theta_w)
     denom = grid_steps - 1
     stable = [[False] * grid_steps for _ in range(grid_steps)]
     for ip in range(grid_steps):
         for iq in range(grid_steps):
-            weights = _pq_weights(inst, matching.assignment, ip / denom, iq / denom)
+            weights = _pq_weights(*tables, matching.assignment, ip / denom, iq / denom)
             stable[ip][iq] = find_positive_cycle(weights, eps) is None
     # Upper-left closure follows, by induction, from each stable cell's
     # next cell in p and previous cell in q being stable.

@@ -38,6 +38,13 @@ def resolve_eps() -> float:
         value = float(raw)
     except ValueError:
         raise DomainError(f"{_ENV_VAR} must be a number, got {raw!r}") from None
-    if not math.isfinite(value) or value < 0.0:
-        raise DomainError(f"{_ENV_VAR} must be a finite non-negative number")
+    _check_tolerance(value, _ENV_VAR)
     return value
+
+
+def _check_tolerance(eps: float, name: str = "eps") -> None:
+    """The one tolerance guard, in every engine that takes ``eps``: a NaN
+    or infinite tolerance makes every "exceeds eps" test fail, and a
+    negative one lets a couple gain from itself."""
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise DomainError(f"{name} must be a finite non-negative number")

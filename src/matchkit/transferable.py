@@ -24,7 +24,8 @@ from scipy.optimize import linear_sum_assignment
 from .cycles import _resum_error, find_positive_cycle
 from .errors import DimensionMismatchError, NotCyclicallyMonotoneError, PreconditionError
 from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row
-from .tolerance import DEFAULT_EPS, rounding_bound
+from .partial_transfer import _pq_weights
+from .tolerance import DEFAULT_EPS, _check_tolerance, rounding_bound
 
 _DIVERGED = "chain potentials diverge: the relaxation does not settle in 4n passes"
 
@@ -55,14 +56,6 @@ def _square(theta, matching: Matching | None = None, cuts: CutVector | None = No
     if matching is not None:
         _check_fits(n, matching, cuts)
     return arr
-
-
-def _chain_weights(arr: np.ndarray, matching: Matching) -> list[list[float]]:
-    """weights[a][b]: gain for couple a's man taking couple b's woman."""
-    assignment = np.asarray(matching.assignment)
-    own = arr[np.arange(len(arr)), assignment]
-    with np.errstate(over="ignore"):
-        return (arr[:, assignment] - own[:, None]).tolist()
 
 
 def _underpaid(arr: np.ndarray, cuts: CutVector, eps: float) -> np.ndarray:
@@ -204,11 +197,11 @@ def is_cyclically_monotone(
     Otherwise returns a ChainWitness (which is falsy) carrying one
     violating cycle and its gain.
     """
-    found = find_positive_cycle(_chain_weights(_square(theta, matching), matching), eps)
-    if found is None:
-        return True
-    cycle, gain = found
-    return ChainWitness(cycle=cycle, gain=gain)
+    _check_tolerance(eps)
+    arr = _square(theta, matching)
+    chains = _pq_weights(arr, np.zeros_like(arr), matching.assignment, 1.0, 1.0)
+    found = find_positive_cycle(chains, eps)
+    return True if found is None else ChainWitness(*found)
 
 
 def chain_potentials(theta: Sequence[Sequence[float]], matching: Matching) -> list[float]:
@@ -250,6 +243,7 @@ def dual_cuts(
     reported as divergence.  Large rewards always run it, and so does
     ``eps`` = 0 unless the table holds small integers.
     """
+    _check_tolerance(eps)
     arr = _square(theta, matching)
     n = len(arr)
     assignment = np.asarray(matching.assignment)
@@ -276,7 +270,7 @@ def dual_cuts(
     if not (
         bound <= eps or settled and np.abs(arr).max() <= 2.0**47 / n and (arr % 1 == 0).all()
     ):
-        found = find_positive_cycle(_chain_weights(arr, matching), eps)
+        found = find_positive_cycle(_pq_weights(arr, np.zeros_like(arr), assignment, 1.0, 1.0), eps)
         if found is not None:
             raise NotCyclicallyMonotoneError(
                 f"matching admits blocking chain {found[0]} with gain {found[1]}"
@@ -294,6 +288,7 @@ def verify_ft_core(
     eps: float = DEFAULT_EPS,
 ) -> bool:
     """Exact split on matched pairs, no pair underpaid anywhere else."""
+    _check_tolerance(eps)
     arr = _square(theta, matching, cuts)
     rows, cols = np.arange(len(arr)), np.asarray(matching.assignment)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -316,6 +311,7 @@ def check_optimality_of_cuts(
     The minimal feasible total equals the optimal assignment value, so
     the check compares against that within n*eps.
     """
+    _check_tolerance(eps)
     arr = _square(theta, matching, cuts)
     under = np.argwhere(_underpaid(arr, cuts, eps))
     if under.size:

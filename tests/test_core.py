@@ -320,6 +320,16 @@ class TestAssumptionAudit:
         for phrase in (") exceeds budget 5.0", "downward closure fails", ") rejected below"):
             assert any(phrase in text for text in report.violations), phrase
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_overflowing_sample_range_refused(self, kind):
+        # c1 = 1e308 + 1e308 is inf, and 1.7e308 - -1.7e308 spans past the
+        # float range: every sample would be nan or infinite, and no check fail.
+        full = ((1e308, 1e308), (1e308, 1e308))
+        wide = ((1.7e308, -1.7e308), (-1.7e308, 1.7e308))
+        for inst in (Instance(2, full, full), Instance(2, wide, ((0, 0), (0, 0)))):
+            with pytest.raises(PreconditionError, match=r"^cannot sample around budget c1="):
+                check_assumption(make_model(kind, 2), inst, 100, seed=1)
+
     def test_tiny_beta_corner_level_is_finite(self):
         # tw/beta overflows to inf; the corner level (beta*tm + tw)/(1 + beta)
         # is then tw to the last bit, capped by tm.

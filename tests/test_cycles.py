@@ -28,6 +28,7 @@ from matchkit import (
     transferable,
 )
 from matchkit.cycles import best_cycle_bruteforce, find_positive_cycle
+from matchkit.partial_transfer import _pq_weights
 
 from conftest import (
     count_calls,
@@ -259,7 +260,8 @@ class TestRoundingModel:
                 matching = optimal_assignment(theta)[0]
             except MatchkitError:
                 continue
-            chains = transferable._chain_weights(np.array(theta), matching)
+            arr = np.array(theta)
+            chains = _pq_weights(arr, np.zeros_like(arr), matching.assignment, 1.0, 1.0)
             for eps in (EPS, 0.0):
                 del detector[:]
                 try:

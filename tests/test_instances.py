@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchkit
 from matchkit import (
     BargainingModel,
     CutVector,
@@ -44,10 +46,13 @@ from matchkit import (
     delta_q,
     delta_r,
     dual_cuts,
+    enumerate_fnt_stable,
+    exists_pq_stable,
     find_fnt_blocking_pairs,
     find_pq_blocking_chain,
     gale_shapley,
     in_feasible_set,
+    in_interior,
     is_cyclically_monotone,
     mixed_instance_stream,
     optimal_assignment,
@@ -62,6 +67,7 @@ from matchkit import (
     serialize_matching,
     verify_core_point,
     verify_ft_core,
+    verify_men_optimality,
 )
 from matchkit.cycles import best_cycle_bruteforce
 from matchkit.instances import _instance_from, _load_json, _matching_from, _shallow_utf8
@@ -499,6 +505,23 @@ class TestDecode:
                     assert bits(orjson.loads(str(d))) == bits(float(str(d))), str(d)
 
 
+    def test_orjson_decodes_only_behind_the_depth_guard(self):
+        # orjson 3.8.3 crashes the interpreter on an array nested 10**6 deep;
+        # only _shallow_utf8, ahead of _orjson_build's one call, keeps such
+        # texts from it, so no other code may reach orjson.loads.
+        package = Path(matchkit.__file__).parent
+        tree = ast.parse((package / "instances.py").read_text())
+        (build,) = [n for n in ast.walk(tree) if getattr(n, "name", "") == "_orjson_build"]
+        guarded = range(build.lineno, build.end_lineno + 1)
+        inside, outside = [], []
+        for path in sorted(package.rglob("*.py")):
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                if re.search(r"orjson\s*\.\s*loads|from\s+orjson\s|import\s+orjson\s+as", line):
+                    where = inside if path.name == "instances.py" and number in guarded else outside
+                    where.append(f"{path.name}:{number}: {line.strip()}")
+        assert len(inside) == 1 and not outside, (inside, outside)
+
+
 class TestDomainTypes:
     def test_matching_inverse(self):
         m = Matching((2, 0, 1))
@@ -791,7 +814,43 @@ REFUSALS = {
 }
 
 
+# Every public engine that takes a tolerance, as f(eps).
+FT, ID2, ZERO_CUTS = BargainingModel("ft"), Matching((0, 1)), CutVector((0.0, 0.0), (0.0, 0.0))
+EPS_ENGINES = {
+    "in_feasible_set": lambda e: in_feasible_set(FT, BOXED, 0, 0, 0.0, 0.0, eps=e),
+    "in_interior": lambda e: in_interior(FT, BOXED, 0, 0, 0.0, 0.0, eps=e),
+    "check_assumption": lambda e: check_assumption(FT, BOXED, 10, 1, eps=e),
+    "verify_core_point": lambda e: verify_core_point(FT, BOXED, ID2, ZERO_CUTS, eps=e),
+    "search_core": lambda e: search_core(FT, BOXED, ID2, eps=e),
+    "find_fnt_blocking_pairs": lambda e: find_fnt_blocking_pairs(BOXED, ID2, eps=e),
+    "enumerate_fnt_stable": lambda e: enumerate_fnt_stable(BOXED, eps=e),
+    "verify_men_optimality": lambda e: verify_men_optimality(BOXED, eps=e),
+    "find_pq_blocking_chain": lambda e: find_pq_blocking_chain(
+        BOXED, ID2, PQParams(0.2, 0.8), eps=e
+    ),
+    "exists_pq_stable": lambda e: exists_pq_stable(BOXED, PQParams(0.2, 0.8), eps=e),
+    "counterexample_instance": lambda e: counterexample_instance(0.2, 0.8, eps=e),
+    "pq_plane_sweep": lambda e: pq_plane_sweep(mixed_instance_stream(2, 1), 2, 1, eps=e),
+    "check_pq_monotonicity": lambda e: check_pq_monotonicity(BOXED, ID2, 2, eps=e),
+    "is_cyclically_monotone": lambda e: is_cyclically_monotone(BOXED_THETA_M, ID2, eps=e),
+    "dual_cuts": lambda e: dual_cuts(BOXED_THETA_M, ID2, eps=e),
+    "verify_ft_core": lambda e: verify_ft_core(BOXED_THETA_M, ID2, ZERO_CUTS, eps=e),
+    "check_optimality_of_cuts": lambda e: check_optimality_of_cuts(
+        ((0.0, 0.0), (0.0, 0.0)), ID2, ZERO_CUTS, eps=e
+    ),
+}
+
+
 class TestGuards:
+    @pytest.mark.parametrize("engine", sorted(EPS_ENGINES))
+    def test_tolerance_refused_unless_finite_and_non_negative(self, engine):
+        call = EPS_ENGINES[engine]
+        for eps in (math.nan, math.inf, -math.inf, -1e-9, -0.5):
+            with pytest.raises(DomainError, match=r"^eps must be a finite non-negative number$"):
+                call(eps)
+        call(0.0)
+        call(-0.0)
+
     @pytest.mark.parametrize("engine", sorted(MATCHING_ENGINES))
     def test_wrong_size_matching(self, engine, boxed):
         cuts = CutVector((0.0, 0.0), (0.0, 0.0))

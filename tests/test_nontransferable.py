@@ -80,7 +80,7 @@ class TestBlockingPairs:
         # man 0 and woman 0 both gain exactly 1 by reuniting
         assert find_fnt_blocking_pairs(boxed, swap2) == [(0, 0)]
 
-    @pytest.mark.parametrize("eps", [EPS, 0.0, -1.0])
+    @pytest.mark.parametrize("eps", [EPS, 0.0])
     def test_equal_to_reference_loop(self, eps):
         for label, inst in enumeration_corpus():
             for matching in random_matchings(inst.n, 3, derive_seed(72, inst.n)):

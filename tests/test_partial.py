@@ -1,6 +1,7 @@
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from matchkit import (
     random_instance,
 )
 from matchkit.cycles import best_cycle_bruteforce, find_positive_cycle
-from matchkit.partial_transfer import _pq_weights
+from matchkit.partial_transfer import _pq_weights, _prefix_weights
 from matchkit.rng import SplitMix64, Uniform01
 
 from conftest import (
@@ -40,6 +41,7 @@ from conftest import (
     near_indifferent_instance,
     pq_weight_matrix,
     random_matchings,
+    seeded_permutation,
 )
 
 EPS = 1e-9
@@ -52,7 +54,7 @@ def scan_exists_pq_stable(inst, pq, eps=EPS):
     first matching, in lexicographic order, that the detector passes,
     and the number of detector calls it took."""
     for calls, perm in enumerate(permutations(range(inst.n)), 1):
-        if find_positive_cycle(_pq_weights(inst, perm, pq.p, pq.q), eps) is None:
+        if find_positive_cycle(_prefix_weights(inst, perm, pq.p, pq.q), eps) is None:
             return perm, calls
     return None, factorial(inst.n)
 
@@ -119,6 +121,43 @@ def oracle_corpus():
         inst = mixed_magnitude_instance(n, derive_seed(63, seed))
         for cell in ((1.0, 0.0), (0.5, 0.5), (0.0, 1.0), (0.0, 0.0), (1.0, 1.0)):
             yield f"mixed-magnitude n={n} seed={seed} {cell}", inst, cell
+
+
+# Entries at the float limits, the subnormal edge, signed zero and eps scale.
+NEAR_LIMIT = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-10, 5e-10, 1.0, -1.0, 1e308, -1e308, 1.7e308, -1.7e308, 8.9e307
+)
+# The benchmark's check cells and one off the diagonal.
+WEIGHT_CELLS = ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.3, 0.9))
+
+
+def near_limit_instance(n, rng):
+    def table():
+        return tuple(
+            tuple(NEAR_LIMIT[rng.randint(0, len(NEAR_LIMIT) - 1)] for _ in range(n))
+            for _ in range(n)
+        )
+
+    return Instance(n, table(), table())
+
+
+def weight_corpus():
+    """(instance, matching, cells): the oracle corpus, each case under a
+    seeded random matching at its own cell, then uniform tables at
+    n = 1-100 and near-limit tables at n = 1-8 at every weight cell."""
+    for _, inst, cell in oracle_corpus():
+        yield inst, random_matchings(inst.n, 1, derive_seed(64, inst.n))[0], (cell,)
+    rng = SplitMix64(73)
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 20, 33, 50, 100):
+        inst = random_instance(n, derive_seed(74, n))
+        yield inst, Matching(seeded_permutation(n, rng)), WEIGHT_CELLS
+    for k in range(120):
+        n = 1 + k % 8
+        yield near_limit_instance(n, rng), Matching(seeded_permutation(n, rng)), WEIGHT_CELLS
+
+
+def reprs(weights):
+    return [list(map(repr, row)) for row in weights]
 
 
 class TestClip:
@@ -238,13 +277,22 @@ class TestBlockingChain:
                     assert all(y >= x - EPS for x, y in zip(scaled, scaled[1:]))
 
     def test_weights_are_the_clipped_margins_bit_for_bit(self):
-        for label, inst, (p, q) in oracle_corpus():
-            matching = random_matchings(inst.n, 1, derive_seed(64, inst.n))[0]
-            weights = _pq_weights(inst, matching.assignment, p, q)
-            expected = pq_weight_matrix(inst, matching, p, q)
-            assert [list(map(repr, row)) for row in weights] == [
-                list(map(repr, row)) for row in expected
-            ], label
+        """The whole-matching builder, the oracle's prefix loop and the
+        one-pair definition clip_p(delta_q(...)) give the same floats,
+        signed zeros and the nan of 0 * inf at q = 0 included."""
+        nans = 0
+        for inst, matching, cells in weight_corpus():
+            tables = np.array(inst.theta_m), np.array(inst.theta_w)
+            a = matching.assignment
+            for p, q in cells:
+                whole = reprs(_pq_weights(*tables, a, p, q))
+                assert whole == reprs(_prefix_weights(inst, a, p, q)), (inst, a, p, q)
+                assert whole == reprs(pq_weight_matrix(inst, matching, p, q)), (inst, a, p, q)
+                for k in range(2, min(inst.n, 8) + 1):
+                    prefix = reprs(_prefix_weights(inst, a[:k], p, q))
+                    assert prefix == [row[:k] for row in whole[:k]], (inst, a, p, q, k)
+                nans += sum(row.count("nan") for row in whole)
+        assert nans > 100
 
     @pytest.mark.parametrize("seed", range(15))
     def test_detector_vs_enumeration_on_grid(self, seed):
@@ -259,6 +307,50 @@ class TestBlockingChain:
 
 
 class TestReductions:
+    def test_one_one_is_ft_with_a_zero_womens_table(self):
+        """is_cyclically_monotone is find_pq_blocking_chain at (1, 1) with
+        a zero women's table: same verdict, cycle and gain."""
+        rng = SplitMix64(75)
+        zeros = {n: ((0.0,) * n,) * n for n in range(1, 41)}
+        witnesses = 0
+        for k in range(300):
+            if k % 2:
+                n = 1 + k % 8
+                theta = near_limit_instance(n, rng).theta_m
+            else:
+                n = 1 + k % 40
+                theta = random_instance(n, derive_seed(76, k)).theta_m
+            matching = Matching(seeded_permutation(n, rng))
+            ft = is_cyclically_monotone(theta, matching)
+            pq = find_pq_blocking_chain(Instance(n, theta, zeros[n]), matching, PQParams(1.0, 1.0))
+            ft_view = ft if ft is True else (ft.cycle, repr(ft.gain))
+            pq_view = pq if pq is True else (pq.cycle, repr(pq.clipped_gain))
+            assert pq_view == ft_view, (theta, matching)
+            witnesses += ft is not True
+        assert witnesses > 100
+
+    def test_zero_zero_chain_without_a_blocking_pair(self):
+        # Off integer tables (0, 0) is stricter: each hop gains 0.4 eps on
+        # both sides, no pair blocks, and the 3-cycle gains 1.2 eps.
+        table = [[-1.0] * 3 for _ in range(3)]
+        for a in range(3):
+            table[a][a], table[a][(a + 1) % 3] = 0.0, 4e-10
+        inst, identity = Instance(3, table, table), Matching((0, 1, 2))
+        assert find_fnt_blocking_pairs(inst, identity) == []
+        found = find_pq_blocking_chain(inst, identity, PQParams(0.0, 0.0))
+        assert (found.cycle, found.clipped_gain) == ((0, 1, 2), 1.2e-9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_zero_zero_is_blocking_pairs_on_integer_tables(self, seed):
+        # On integer tables every positive margin is at least 1, so a chain
+        # gains more than eps exactly when one of its hops is a blocking pair.
+        for k in range(100):
+            n = 1 + k % 6
+            inst = random_instance(n, derive_seed(77, seed, k), IntegerRange(-3, 3))
+            matching = random_matchings(n, 1, derive_seed(78, seed, k))[0]
+            chain_free = find_pq_blocking_chain(inst, matching, PQParams(0.0, 0.0)) is True
+            assert chain_free == (find_fnt_blocking_pairs(inst, matching) == []), (inst, matching)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_zero_zero_matches_blocking_pairs(self, seed):
         inst = corpus_instance(seed, 5, tag=37)
@@ -448,7 +540,7 @@ class TestMonotonicityTheorem:
             return None if grid[round(pq[0] * denom)][round(pq[1] * denom)] else ((0, 1), 1.0)
 
         # each cell's weights become its (p, q), and the detector reads the grid
-        monkeypatch.setattr(partial_transfer, "_pq_weights", lambda inst, a, p, q: (p, q))
+        monkeypatch.setattr(partial_transfer, "_pq_weights", lambda tm, tw, a, p, q: (p, q))
         monkeypatch.setattr(partial_transfer, "find_positive_cycle", cell_cycle)
         verdicts = []
         for trial in range(400):
