@@ -47,7 +47,6 @@ from math import inf
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .instances import _check_limit
 from .tolerance import rounding_bound
@@ -56,6 +55,13 @@ _BRUTE_FORCE_LIMIT = 10
 
 WeightMatrix = Sequence[Sequence[float]]
 Found = tuple[tuple[int, ...], float]
+
+
+def linear_sum_assignment(cost, maximize: bool = False):
+    """scipy's assignment solver, imported on the first call: of the CLI's
+    commands only ``solve ft`` needs it on every run."""
+    from scipy.optimize import linear_sum_assignment as solve
+    return solve(cost, maximize=maximize)
 
 
 def _cycle_gain(weights: WeightMatrix, cycle: Sequence[int]) -> float:

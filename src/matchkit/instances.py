@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Callable, Iterator
 
 import numpy as np
@@ -192,30 +191,34 @@ class Matching:
 
 
 def _lex_search(
-    n: int, admits: Callable[[tuple[int, ...]], bool], depth: int
+    n: int, keep: Callable[[tuple[int, ...], int, list[int]], list[int]]
 ) -> Iterator[tuple[int, ...]]:
-    """Every assignment of n men, in lexicographic order, that extends no
-    prefix ``admits`` rejects.
+    """Every assignment of n men, in lexicographic order, that forward
+    checking through ``keep`` leaves.
 
-    Depth first: man k is placed after men 0..k-1, trying the free women
-    in ascending index.  ``admits`` is asked about each prefix of 2 to
-    ``depth`` couples (one couple alone never blocks); longer prefixes
-    are not checked.
+    Man k takes each woman left in his domain in ascending index; then
+    each later man b, in ascending order, narrows his domain to
+    ``keep(prefix, b, women)``, the women he may still take beside
+    ``prefix`` (never its last couple's woman).  The first domain to
+    empty backs the search off, so ``keep`` hears of man n - 1 last, and
+    only when every other later man kept a woman.
     """
 
-    def extend(prefix: tuple[int, ...], rest: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) >= depth:
-            for tail in permutations(rest):
-                yield prefix + tail
+    def extend(prefix: tuple[int, ...], domains: list[list[int]]) -> Iterator[tuple[int, ...]]:
+        if not domains:
+            yield prefix
             return
-        for i, w in enumerate(rest):
-            grown = prefix + (w,)
-            if len(grown) < 2 or admits(grown):
-                yield from extend(grown, rest[:i] + rest[i + 1 :])
+        for y in domains[0]:
+            grown = prefix + (y,)
+            narrowed = []
+            for b, women in enumerate(domains[1:], len(grown)):
+                narrowed.append(keep(grown, b, women))
+                if not narrowed[-1]:
+                    break
+            else:
+                yield from extend(grown, narrowed)
 
-    if depth < 2:
-        return permutations(range(n))
-    return extend((), tuple(range(n)))
+    return extend((), [list(range(n))] * n)
 
 
 def _check_unit_interval(name: str, value) -> None:

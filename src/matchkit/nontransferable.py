@@ -31,27 +31,16 @@ def find_fnt_blocking_pairs(
     """
     _check_tolerance(eps)
     _check_fits(inst.n, matching)
-    n = inst.n
-    assignment, inverse = matching.assignment, matching.inverse
-    return [
-        (i, j)
-        for i in range(n)
-        for j in _blocking_women(inst, i, assignment[i], range(n), inverse, eps)
-    ]
-
-
-def _blocking_women(inst: Instance, i: int, wi: int, women, husbands, eps: float) -> list[int]:
-    """The women j among ``women`` who block with man i: he, married to
-    woman wi, and she, married to the matching entry of ``husbands``,
-    both gain more than eps by marrying each other.  His own wife never
-    blocks: his gain with her is exactly 0, and eps >= 0."""
-    row_m, row_w, theta_w = inst.theta_m[i], inst.theta_w[i], inst.theta_w
-    own = row_m[wi]
-    return [
-        j
-        for j, mj in zip(women, husbands)
-        if row_m[j] - own > eps and row_w[j] - theta_w[mj][j] > eps
-    ]
+    theta_w, husbands = inst.theta_w, matching.inverse
+    pairs = []
+    for i, (row_m, row_w, wi) in enumerate(zip(inst.theta_m, theta_w, matching.assignment)):
+        own = row_m[wi]  # his gain with his own wife is exactly 0, and eps >= 0
+        pairs += [
+            (i, j)
+            for j, mj in enumerate(husbands)
+            if row_m[j] - own > eps and row_w[j] - theta_w[mj][j] > eps
+        ]
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -125,24 +114,34 @@ def gale_shapley(inst: Instance, proposer: str = "men") -> Matching:
 def enumerate_fnt_stable(inst: Instance, *, eps: float = DEFAULT_EPS) -> list[Matching]:
     """Every stable matching, exhaustively; sorted lexicographically.
 
-    A depth-first search over partial matchings places men in order and
-    tries women in ascending index.  Placing man k with woman w settles
-    exactly the pairs of man k with the placed women and of woman w with
-    the placed men, since a pair blocks by its two partners alone; a
-    blocking one cuts every completion.  Guarded to n <= 8.
+    A pair blocks by its two partners alone, so blocking is a conflict
+    between two couples: (k, y) and (b, z) conflict when man k and woman
+    z, or man b and woman y, block as ``find_fnt_blocking_pairs`` tests.
+    The search places men in order, tries women in ascending index, and
+    strikes from each later man b every woman z whose couple conflicts
+    with a placed one, so the assignments it completes are exactly the
+    stable ones.  Guarded to n <= 8.
     """
     _check_tolerance(eps)
     n = inst.n
     _check_limit("stable-set enumeration", n, ENUMERATION_LIMIT)
+    theta_m, theta_w = inst.theta_m, inst.theta_w
 
-    def admits(prefix: tuple[int, ...]) -> bool:
+    def keep(prefix: tuple[int, ...], b: int, women: list[int]) -> list[int]:
         k = len(prefix) - 1
         wk = prefix[k]
-        return not _blocking_women(inst, k, wk, prefix[:k], range(k), eps) and not any(
-            _blocking_women(inst, i, prefix[i], (wk,), (k,), eps) for i in range(k)
-        )
+        row_m, row_w, b_m, b_w = theta_m[k], theta_w[k], theta_m[b], theta_w[b]
+        own, to_wk = row_m[wk], b_m[wk]
+        wk_stays = b_w[wk] - row_w[wk] <= eps  # woman wk gains nothing from man b
+        return [
+            z
+            for z in women
+            if z != wk
+            and not (row_m[z] - own > eps and row_w[z] - b_w[z] > eps)  # man k, woman z
+            and (wk_stays or not to_wk - b_m[z] > eps)  # man b, woman wk
+        ]
 
-    return [Matching(a) for a in _lex_search(n, admits, n)]
+    return [Matching(a) for a in _lex_search(n, keep)]
 
 
 @dataclass(frozen=True)

@@ -142,28 +142,52 @@ def exists_pq_stable(
     Complete matchings are visited depth first in lexicographic order
     and the first one the detector passes is returned, as a scan of all
     n! would.  The weight between two couples depends only on their own
-    partners, so a blocking cycle among the first 2 to n - 2 couples
-    blocks every completion and cuts them, when its gain clears eps by
-    more than the detector's rounding on a full matching.
+    partners, so a cycle that beats eps by more than the detector's
+    rounding on a full matching blocks every matching holding its
+    couples.  When man k takes woman y, each later man b loses every
+    woman z for which couples (k, y) and (b, z) form such a 2-cycle; a
+    prefix of 3 to n - 2 couples that leaves every later man a woman
+    goes to the detector, and such a cycle cuts all its completions.
     """
     _check_tolerance(eps)
     n = inst.n
     _check_limit("existence oracle", n, ORACLE_LIMIT)
     p, q = pq.p, pq.q
-    # A cycle beating eps + slack keeps the detector from settling on a full
-    # matching, whose weights are at most 4 reward spreads, and an unsettled
-    # detector on at most cycles._BRUTE_FORCE_LIMIT couples, which
+    theta_m, theta_w = inst.theta_m, inst.theta_w
+    # A cycle gaining more than eps + slack keeps the detector from settling
+    # on a full matching, whose weights are at most 4 reward spreads, and an
+    # unsettled detector on at most cycles._BRUTE_FORCE_LIMIT couples, which
     # ORACLE_LIMIT must not exceed, reports a cycle.
-    slack = 0.0  # prefixes are checked from n = 4 up
-    if n >= 4:
-        rows = inst.theta_m + inst.theta_w
-        slack = _settle_error(n, 4.0 * (max(map(max, rows)) - min(map(min, rows))), eps)
+    rows = theta_m + theta_w
+    limit = eps + _settle_error(n, 4.0 * (max(map(max, rows)) - min(map(min, rows))), eps)
 
-    def admits(prefix: tuple[int, ...]) -> bool:
-        found = find_positive_cycle(_prefix_weights(inst, prefix, p, q), eps)
-        return found is None or found[1] <= eps + slack
+    def keep(prefix: tuple[int, ...], b: int, women: list[int]) -> list[int]:
+        k = len(prefix) - 1
+        wk = prefix[k]
+        row_m, row_w, b_m, b_w = theta_m[k], theta_w[k], theta_m[b], theta_w[b]
+        base_m, b_to_wk = row_m[wk], b_m[wk]
+        gb_back = b_w[wk] - row_w[wk]
+        kept = []  # weights there (k to b) and back by _prefix_weights' float operations
+        for z in women:
+            if z == wk:
+                continue
+            ga, gb = row_m[z] - base_m, row_w[z] - b_w[z]
+            x, y = q * ga + gb, q * gb + ga
+            there = y if y < x else x
+            ga = b_to_wk - b_m[z]
+            x, y = q * ga + gb_back, q * gb_back + ga
+            back = y if y < x else x
+            gain = (there if there >= 0.0 else p * there) + (back if back >= 0.0 else p * back)
+            if not gain > limit:
+                kept.append(z)
+        # Man n - 1 comes last, once every other later man kept a woman.
+        if kept and b == n - 1 and 3 <= len(prefix) <= n - 2:
+            found = find_positive_cycle(_prefix_weights(inst, prefix, p, q), eps)
+            if found is not None and found[1] > limit:
+                return []
+        return kept
 
-    for leaf in _lex_search(n, admits, n - 2):
+    for leaf in _lex_search(n, keep):
         if find_positive_cycle(_prefix_weights(inst, leaf, p, q), eps) is None:
             return Matching(leaf)
     return None

@@ -8,8 +8,8 @@ default through the MATCHKIT_EPS environment variable; library callers
 pass ``eps`` explicitly instead.
 """
 
-import math
 import os
+import sys
 
 from .errors import DomainError
 
@@ -18,6 +18,7 @@ DEFAULT_EPS = 1e-9
 # Unit roundoff of a double: a rounded float operation errs by at most
 # this fraction of its exact result (barring overflow and underflow).
 UNIT_ROUNDOFF = 2.0**-53
+_FLOAT_MAX = sys.float_info.max
 
 _ENV_VAR = "MATCHKIT_EPS"
 
@@ -43,8 +44,9 @@ def resolve_eps() -> float:
 
 
 def _check_tolerance(eps: float, name: str = "eps") -> None:
-    """The one tolerance guard, in every engine that takes ``eps``: a NaN
-    or infinite tolerance makes every "exceeds eps" test fail, and a
-    negative one lets a couple gain from itself."""
-    if not (math.isfinite(eps) and eps >= 0.0):
+    """The one tolerance guard, in every engine that takes ``eps``: an int or
+    a float, not a bool, from 0 to the largest float.  A NaN or infinite
+    tolerance makes every "exceeds eps" test fail, a negative one lets a
+    couple gain from itself, and a larger int overflows the float sums."""
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 <= eps <= _FLOAT_MAX:
         raise DomainError(f"{name} must be a finite non-negative number")

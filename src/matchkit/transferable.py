@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .cycles import _resum_error, find_positive_cycle
+from .cycles import _resum_error, find_positive_cycle, linear_sum_assignment
 from .errors import DimensionMismatchError, NotCyclicallyMonotoneError, PreconditionError
 from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row
 from .partial_transfer import _pq_weights

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -562,6 +565,36 @@ class TestHygiene:
         assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
         assert result.stdout == ""
         assert result.stderr == "error: matching size 3 does not fit instance size 2\n"
+
+    def test_commands_without_an_assignment_solve_leave_scipy_unimported(self, tmp_path):
+        """Only solve ft needs scipy on every run; gen, solve nt, check and
+        core run in a fresh interpreter without importing it."""
+        inst, nt = str(tmp_path / "inst.json"), str(tmp_path / "nt.json")
+        commands = [
+            ["gen", "--n", "4", "--seed", "7", "--out", inst],
+            ["solve", "nt", "--instance", inst, "--out", nt],
+            ["check", "--instance", inst, "--matching", nt, "--p", "0.5", "--q", "0.5"],
+            ["core", "--model", "fnt", "--instance", inst, "--matching", nt],
+        ]
+        script = (
+            "import sys\n"
+            "from matchkit.cli import main\n"
+            "imported = []\n"
+            f"for args in {commands!r}:\n"
+            "    try:\n"
+            "        main(args)\n"
+            "    except SystemExit as stop:\n"
+            "        assert stop.code in (0, None), (args, stop.code)\n"
+            "    imported.append('scipy' in sys.modules)\n"
+            "print('scipy imported:', imported)\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "scipy imported: [False, False, False, False]"
 
     @pytest.mark.parametrize("command", ["check", "core"])
     def test_bad_eps_env_check_and_core_exit_2(self, runner, boxed_file, tmp_path, monkeypatch, command):

@@ -845,7 +845,7 @@ class TestGuards:
     @pytest.mark.parametrize("engine", sorted(EPS_ENGINES))
     def test_tolerance_refused_unless_finite_and_non_negative(self, engine):
         call = EPS_ENGINES[engine]
-        for eps in (math.nan, math.inf, -math.inf, -1e-9, -0.5):
+        for eps in (math.nan, math.inf, -math.inf, -1e-9, -0.5, 10**400, "1e-9", True):
             with pytest.raises(DomainError, match=r"^eps must be a finite non-negative number$"):
                 call(eps)
         call(0.0)

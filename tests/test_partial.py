@@ -379,9 +379,12 @@ class TestExistenceOracle:
         found = exists_pq_stable(boxed, PQParams(1.0, 1.0))
         assert found.assignment == (1, 0)
 
-    def test_counterexample_has_none(self):
+    def test_counterexample_has_none(self, monkeypatch):
+        # Both matchings hold a blocking 2-cycle, so no leaf reaches the detector.
+        calls = counting_detector(monkeypatch)
         inst = counterexample_instance(0.2, 0.8)
         assert exists_pq_stable(inst, PQParams(0.2, 0.8)) is None
+        assert calls == []
 
     def test_returned_matching_is_stable(self):
         for seed in range(10):
@@ -464,18 +467,46 @@ class TestExistenceOracleAgainstScan:
         assert exists_pq_stable(inst, PQParams(1.0, 0.0)).assignment == expected
 
     def test_prunes_far_below_n_factorial(self, monkeypatch):
+        # At (0, 1) 2-cycles alone rule out every matching; at (1, 0)
+        # longer cycles block, and the detector decides.
         calls = counting_detector(monkeypatch)
-        assert exists_pq_stable(random_instance(8, 1), PQParams(0.0, 1.0)) is None
-        assert 0 < len(calls) < factorial(8) // 40
+        inst = random_instance(8, 1)
+        assert exists_pq_stable(inst, PQParams(0.0, 1.0)) is None
+        assert calls == []
+        assert exists_pq_stable(inst, PQParams(1.0, 0.0)) is not None
+        assert 1 <= len(calls) <= factorial(8) // 40
 
-    def test_small_sizes_call_the_detector_as_often_as_the_scan(self, monkeypatch):
+    def test_small_sizes_never_call_more_than_the_scan(self, monkeypatch):
+        # Below 5 couples no prefix reaches the detector, so it sees only
+        # leaves, a subset of the scan's in the same order.
         calls = counting_detector(monkeypatch)
+        fewer = 0
         for label, inst, (p, q) in oracle_corpus():
-            if inst.n > 3:
+            if inst.n > 4:
                 continue
             calls.clear()
             exists_pq_stable(inst, PQParams(p, q))
-            assert len(calls) == scan_exists_pq_stable(inst, PQParams(p, q))[1], label
+            scanned = scan_exists_pq_stable(inst, PQParams(p, q))[1]
+            assert len(calls) <= scanned, label
+            fewer += len(calls) < scanned
+        assert fewer > 0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_equal_to_scan_on_the_whole_grid(self, n):
+        """Every cell of an 11 x 11 grid, on uniform, tied and mixed-magnitude
+        tables.  At n = 2 and 3 the mixed-magnitude seeds are ones where a
+        2-cycle cut without the detector's rounding slack changes the answer."""
+        mixed_seeds = {2: (83,), 3: (39, 105)}.get(n, (0,))
+        instances = [
+            random_instance(n, derive_seed(64, n), Uniform01()),
+            random_instance(n, derive_seed(65, n), IntegerRange(0, 2)),
+        ] + [mixed_magnitude_instance(n, derive_seed(66, n, seed)) for seed in mixed_seeds]
+        for inst in instances:
+            for ip in range(11):
+                for iq in range(11):
+                    pq = PQParams(ip / 10, iq / 10)
+                    expected, _ = scan_exists_pq_stable(inst, pq)
+                    assert assignment_of(exists_pq_stable(inst, pq)) == expected, (inst, pq)
 
 
 class TestCounterexample:
