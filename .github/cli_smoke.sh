@@ -28,6 +28,7 @@ step() {
 }
 
 step "$@" gen --n 4 --seed 7 --out "$work/inst.json"
+step "$@" gen --n 4 --seed 7 --dist int:-3:3 --out "$work/int.json"
 step "$@" solve nt --instance "$work/inst.json" --out "$work/nt.json"
 step "$@" solve ft --instance "$work/inst.json" --out "$work/ft.json"
 step "$@" check --instance "$work/inst.json" --matching "$work/ft.json" --p 0 --q 0

@@ -31,7 +31,8 @@ from .errors import (
     PreconditionError,
 )
 from .instances import (
-    CutVector, Instance, Matching, Matrix, _check_count, _check_fits, _check_limit, _coerce_matrix
+    CutVector, Instance, Matching, Matrix, _check_count, _check_fits, _check_limit, _check_pair,
+    _coerce_matrix, _row_list,
 )
 from .rng import SplitMix64, _check_integer
 from .tolerance import DEFAULT_EPS, _check_tolerance
@@ -60,7 +61,8 @@ class BargainingModel:
         if self.kind == "ft_taxed":
             if self.beta is None:
                 raise PreconditionError('model "ft_taxed" requires a beta matrix')
-            beta = _coerce_matrix(self.beta, len(tuple(self.beta)), "beta")
+            beta = _row_list(self.beta, "beta")
+            beta = _coerce_matrix(beta, len(beta), "beta")
             for r, row in enumerate(beta):
                 for c, x in enumerate(row):
                     if not 0.0 < x <= 1.0:
@@ -70,11 +72,6 @@ class BargainingModel:
             object.__setattr__(self, "beta", beta)
         elif self.beta is not None:
             raise DomainError(f'model "{self.kind}" does not take a beta matrix')
-
-
-def _check_pair(inst: Instance, i: int, j: int) -> None:
-    if not (0 <= i < inst.n and 0 <= j < inst.n):
-        raise DomainError(f"pair ({i}, {j}) out of range for n={inst.n}")
 
 
 def _beta_at(model: BargainingModel, inst: Instance, i: int, j: int) -> float:
@@ -139,7 +136,7 @@ def in_feasible_set(
 ) -> bool:
     """Closed-set membership: can couple (i, j) guarantee cuts (u, v)?"""
     _check_tolerance(eps)
-    _check_pair(inst, i, j)
+    i, j = _check_pair(inst.n, i, j)
     return _holds(model, inst, i, j, u, v, eps, strict=False)
 
 
@@ -159,7 +156,7 @@ def in_interior(
     all-strict equals the topological interior.
     """
     _check_tolerance(eps)
-    _check_pair(inst, i, j)
+    i, j = _check_pair(inst.n, i, j)
     return _holds(model, inst, i, j, u, v, eps, strict=True)
 
 

@@ -45,14 +45,19 @@ GENERATION_LIMIT = 2000  # random_instance holds 2n^2 Python floats at once
 _NOT_SEQUENCES = (str, bytes, dict)
 
 
-def _coerce_matrix(rows, n: int, name: str) -> Matrix:
-    """Validate an n-by-n matrix of finite numbers; return it frozen."""
+def _row_list(rows, name: str) -> list:
+    """``rows`` as a list; a value that is not a sequence of rows is refused."""
     try:
         if isinstance(rows, _NOT_SEQUENCES):
             raise TypeError
-        row_list = list(rows)
+        return list(rows)
     except TypeError:
         raise MalformedInputError(f"{name} must be a list of rows") from None
+
+
+def _coerce_matrix(rows, n: int, name: str) -> Matrix:
+    """Validate an n-by-n matrix of finite numbers; return it frozen."""
+    row_list = _row_list(rows, name)
     if len(row_list) != n:
         raise DimensionMismatchError(f"{name} must have {n} rows, got {len(row_list)}")
     out = []
@@ -200,8 +205,7 @@ def _lex_search(
     each later man b, in ascending order, narrows his domain to
     ``keep(prefix, b, women)``, the women he may still take beside
     ``prefix`` (never its last couple's woman).  The first domain to
-    empty backs the search off, so ``keep`` hears of man n - 1 last, and
-    only when every other later man kept a woman.
+    empty backs the search off.
     """
 
     def extend(prefix: tuple[int, ...], domains: list[list[int]]) -> Iterator[tuple[int, ...]]:
@@ -276,6 +280,17 @@ def _check_fits(n: int, matching: Matching, cuts: CutVector | None = None) -> No
         raise DimensionMismatchError(f"matching size {matching.n} does not fit instance size {n}")
     if cuts is not None and cuts.n != n:
         raise DimensionMismatchError(f"cut vector size {cuts.n} does not fit instance size {n}")
+
+
+def _check_pair(n: int, i, j) -> tuple[int, int]:
+    """The one pair guard: man i and woman j as Python ints, by the
+    integer rule, each in 0..n - 1."""
+    pair = _as_integer(i), _as_integer(j)
+    if None in pair:
+        raise MalformedInputError(f"pair ({i!r}, {j!r}) must be integers")
+    if not (0 <= pair[0] < n and 0 <= pair[1] < n):
+        raise DomainError(f"pair ({i}, {j}) out of range for n={n}")
+    return pair
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ import numpy as np
 from .cycles import _settle_error, find_positive_cycle
 from .errors import DomainError
 from .instances import (
-    Instance, Matching, PQParams, _check_count, _check_fits, _check_limit, _check_unit_interval,
-    _lex_search, random_instance,
+    Instance, Matching, PQParams, _check_count, _check_fits, _check_limit, _check_pair,
+    _check_unit_interval, _lex_search, random_instance,
 )
 from .rng import SplitMix64, Uniform01, _check_integer, derive_seed
 from .tolerance import DEFAULT_EPS, _check_tolerance
@@ -53,6 +53,7 @@ def delta_q(inst: Instance, matching: Matching, i: int, j: int, q: float) -> flo
     """
     _check_unit_interval("q", q)
     _check_fits(inst.n, matching)
+    i, j = _check_pair(inst.n, i, j)
     wi = matching.assignment[i]
     partner = matching.man_of(j)
     a = inst.theta_m[i][j] - inst.theta_m[i][wi]
@@ -100,9 +101,9 @@ def _pq_weights(theta_m: np.ndarray, theta_w: np.ndarray, assignment, p: float, 
 
 
 def _prefix_weights(inst: Instance, prefix, p: float, q: float) -> list[list[float]]:
-    """``_pq_weights`` for the couples of ``prefix``, a matching's first men,
-    by the same float operations in Python, the faster form at the oracle's
-    at most 8 couples.  On finite tables a couple's own margin is exactly 0."""
+    """``_pq_weights`` for the couples of ``prefix``, a matching's first men
+    (the oracle's are whole), by the same float operations in Python, the
+    faster form at <= 8 couples.  On finite tables own margins are exactly 0."""
     own_w = [inst.theta_w[b][wb] for b, wb in enumerate(prefix)]
     weights = []
     for row_m, row_w, wa in zip(inst.theta_m, inst.theta_w, prefix):
@@ -145,9 +146,8 @@ def exists_pq_stable(
     partners, so a cycle that beats eps by more than the detector's
     rounding on a full matching blocks every matching holding its
     couples.  When man k takes woman y, each later man b loses every
-    woman z for which couples (k, y) and (b, z) form such a 2-cycle; a
-    prefix of 3 to n - 2 couples that leaves every later man a woman
-    goes to the detector, and such a cycle cuts all its completions.
+    woman z for which couples (k, y) and (b, z) form such a 2-cycle;
+    only the complete matchings left go to the detector.
     """
     _check_tolerance(eps)
     n = inst.n
@@ -180,11 +180,6 @@ def exists_pq_stable(
             gain = (there if there >= 0.0 else p * there) + (back if back >= 0.0 else p * back)
             if not gain > limit:
                 kept.append(z)
-        # Man n - 1 comes last, once every other later man kept a woman.
-        if kept and b == n - 1 and 3 <= len(prefix) <= n - 2:
-            found = find_positive_cycle(_prefix_weights(inst, prefix, p, q), eps)
-            if found is not None and found[1] > limit:
-                return []
         return kept
 
     for leaf in _lex_search(n, keep):

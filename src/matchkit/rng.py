@@ -93,6 +93,9 @@ class IntegerRange:
     def __post_init__(self):
         object.__setattr__(self, "lo", _check_integer("lo", self.lo))
         object.__setattr__(self, "hi", _check_integer("hi", self.hi))
+        # samples are floats, which hold every integer up to 2**53 exactly
+        if max(abs(self.lo), abs(self.hi)) > 2**53:
+            raise DomainError("integer range bounds must lie in [-2**53, 2**53]")
         if self.hi < self.lo:
             raise DomainError(f"empty integer range [{self.lo}, {self.hi}]")
 

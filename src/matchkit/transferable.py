@@ -22,7 +22,7 @@ import numpy as np
 
 from .cycles import _resum_error, find_positive_cycle, linear_sum_assignment
 from .errors import DimensionMismatchError, NotCyclicallyMonotoneError, PreconditionError
-from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row
+from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row, _row_list
 from .partial_transfer import _pq_weights
 from .tolerance import DEFAULT_EPS, _check_tolerance, rounding_bound
 
@@ -47,7 +47,7 @@ class ChainWitness:
 def _square(theta, matching: Matching | None = None, cuts: CutVector | None = None) -> np.ndarray:
     """``theta`` validated as a square float array; the matching and the
     cuts, when given, must fit its size."""
-    rows = list(theta)
+    rows = _row_list(theta, "theta")
     n = len(rows)
     if n == 0:
         raise DimensionMismatchError("theta must not be empty")

@@ -286,6 +286,21 @@ class TestGen:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == "error: empty integer range [5, 1]\n"
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [(-(10**400), 10**400), (0, 10**400), (2**53 + 1, 2**53 + 1)],
+        ids=["-10**400:10**400", "0:10**400", "2**53+1:2**53+1"],
+    )
+    def test_int_range_beyond_2_53_exit_2(self, runner, tmp_path, bounds):
+        dist = "int:{}:{}".format(*bounds)
+        out = tmp_path / "x.json"
+        args = ["gen", "--n", "2", "--seed", "1", "--dist", dist, "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: integer range bounds must lie in [-2**53, 2**53]\n"
+        assert not out.exists()
+
     def test_rejects_zero_size(self, runner, tmp_path):
         result = runner.invoke(
             main, ["gen", "--n", "0", "--seed", "2", "--out", str(tmp_path / "x")]

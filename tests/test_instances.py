@@ -540,6 +540,21 @@ class TestDomainTypes:
         assert (type(dist.lo), type(dist.hi)) == (int, int)
         assert random_instance(4, 3, dist) == random_instance(4, 3, IntegerRange(-1, 1))
 
+    def test_integer_range_draws_exactly_up_to_2_53(self):
+        top = IntegerRange(2**53 - 1, 2**53)
+        bottom = IntegerRange(-(2**53), -(2**53) + 1)
+        for dist in (top, bottom):
+            inst = random_instance(4, 5, dist)
+            draws = {x for row in inst.theta_m + inst.theta_w for x in row}
+            assert draws == {float(dist.lo), float(dist.hi)}
+
+    def test_pair_guard_admits_numpy_integers(self):
+        inst, matching = random_instance(3, 2), Matching((2, 0, 1))
+        assert delta_q(inst, matching, np.int64(1), np.uint8(2), 0.5) == delta_q(
+            inst, matching, 1, 2, 0.5
+        )
+        assert in_interior(BargainingModel("ft"), inst, np.int32(0), 2, -5.0, -5.0)
+
     def test_matching_out_of_range(self):
         with pytest.raises(InvalidMatchingError):
             Matching((0, 3))
@@ -753,6 +768,42 @@ REFUSALS = {
         DomainError,
         "pair (5, 0) out of range for n=2",
     ),
+    "in_feasible_set pair (0, 1.5)": (
+        lambda: in_feasible_set(BargainingModel("ft"), BOXED, 0, 1.5, 0.0, 0.0),
+        MalformedInputError,
+        "pair (0, 1.5) must be integers",
+    ),
+    "in_interior pair (True, 0)": (
+        lambda: in_interior(BargainingModel("ft"), BOXED, True, 0, 0.0, 0.0),
+        MalformedInputError,
+        "pair (True, 0) must be integers",
+    ),
+    "in_interior pair (0, -1)": (
+        lambda: in_interior(BargainingModel("ft"), BOXED, 0, -1, 0.0, 0.0),
+        DomainError,
+        "pair (0, -1) out of range for n=2",
+    ),
+    "delta_q pair (-1, 0)": (
+        lambda: delta_q(BOXED, Matching((0, 1)), -1, 0, 0.5),
+        DomainError,
+        "pair (-1, 0) out of range for n=2",
+    ),
+    "delta_q pair (2, 0)": (
+        lambda: delta_q(BOXED, Matching((0, 1)), 2, 0, 0.5),
+        DomainError,
+        "pair (2, 0) out of range for n=2",
+    ),
+    "delta_q pair (0, 1.0)": (
+        lambda: delta_q(BOXED, Matching((0, 1)), 0, 1.0, 0.5),
+        MalformedInputError,
+        "pair (0, 1.0) must be integers",
+    ),
+    "optimal_assignment(5)": (
+        lambda: optimal_assignment(5), MalformedInputError, "theta must be a list of rows"
+    ),
+    "ft_taxed beta=5": (
+        lambda: BargainingModel("ft_taxed", 5), MalformedInputError, "beta must be a list of rows"
+    ),
     "ft_taxed 3x3 beta on n=2": (
         lambda: in_feasible_set(
             BargainingModel("ft_taxed", ((0.5,) * 3,) * 3), BOXED, 0, 0, 0.0, 0.0
@@ -787,6 +838,21 @@ REFUSALS = {
         lambda: SplitMix64(1).randint(3, 2), DomainError, "empty integer range [3, 2]"
     ),
     "IntegerRange empty": (lambda: IntegerRange(3, 2), DomainError, "empty integer range [3, 2]"),
+    "IntegerRange hi=2**53+1": (
+        lambda: IntegerRange(0, 2**53 + 1),
+        DomainError,
+        "integer range bounds must lie in [-2**53, 2**53]",
+    ),
+    "IntegerRange lo=-2**53-1": (
+        lambda: IntegerRange(-(2**53) - 1, 0),
+        DomainError,
+        "integer range bounds must lie in [-2**53, 2**53]",
+    ),
+    "IntegerRange empty, lo=10**5000": (
+        lambda: IntegerRange(10**5000, 0),
+        DomainError,
+        "integer range bounds must lie in [-2**53, 2**53]",
+    ),
     "IntegerRange lo=0.5": (
         lambda: IntegerRange(0.5, 3), MalformedInputError, "lo must be an integer"
     ),

@@ -399,7 +399,7 @@ class TestExistenceOracle:
             exists_pq_stable(random_instance(9, 0), PQParams(0.5, 0.5))
 
     def test_oracle_sizes_reach_the_detector_enumeration(self):
-        # The prefix cut relies on an unsettled detector reporting a cycle,
+        # The 2-cycle strike relies on an unsettled detector reporting a cycle,
         # which its enumeration stage guarantees only up to its limit.
         assert partial_transfer.ORACLE_LIMIT <= cycles._BRUTE_FORCE_LIMIT
 
@@ -476,17 +476,16 @@ class TestExistenceOracleAgainstScan:
         assert exists_pq_stable(inst, PQParams(1.0, 0.0)) is not None
         assert 1 <= len(calls) <= factorial(8) // 40
 
-    def test_small_sizes_never_call_more_than_the_scan(self, monkeypatch):
-        # Below 5 couples no prefix reaches the detector, so it sees only
-        # leaves, a subset of the scan's in the same order.
+    def test_detector_sees_only_leaves_never_more_than_the_scan(self, monkeypatch):
+        # No prefix reaches the detector, so it sees only whole matchings,
+        # a subset of the scan's in the same order.
         calls = counting_detector(monkeypatch)
         fewer = 0
         for label, inst, (p, q) in oracle_corpus():
-            if inst.n > 4:
-                continue
             calls.clear()
             exists_pq_stable(inst, PQParams(p, q))
             scanned = scan_exists_pq_stable(inst, PQParams(p, q))[1]
+            assert set(calls) <= {inst.n}, label
             assert len(calls) <= scanned, label
             fewer += len(calls) < scanned
         assert fewer > 0
