@@ -36,5 +36,5 @@ step "$@" check --instance "$work/inst.json" --matching "$work/nt.json" --p 0.5 
 step "$@" core --model fnt --instance "$work/inst.json" --matching "$work/ft.json"
 step "$@" counterexample --p 0.2 --q 0.8 --out "$work/ce.json"
 step "$@" sweep --n 3 --grid 3 --trials 2 --seed 1 --out "$work/sweep.csv"
-step "$@" sweep --n 6 --grid 3 --trials 4 --seed 1 --out "$work/sweep6.csv"
+step "$@" sweep --n 8 --grid 3 --trials 4 --seed 1 --out "$work/sweep8.csv"
 echo "cli smoke: all commands ran"

@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     NonFiniteEntryError,
     PreconditionError,
+    _shown,
 )
 from .instances import (
     CutVector, Instance, Matching, Matrix, _check_count, _check_fits, _check_limit, _check_pair,
@@ -57,7 +58,8 @@ class BargainingModel:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise DomainError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+            kind = _shown(self.kind, repr)
+            raise DomainError(f"unknown model kind {kind}; expected one of {MODEL_KINDS}")
         if self.kind == "ft_taxed":
             if self.beta is None:
                 raise PreconditionError('model "ft_taxed" requires a beta matrix')

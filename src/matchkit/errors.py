@@ -1,6 +1,18 @@
 """Exception hierarchy shared by every engine in the package."""
 
 
+def _shown(value, show=str) -> str:
+    """``show(value)`` for an error message.  An int past the interpreter's
+    digit limit for decimal text (4,300 digits by default) is given by its
+    bit length instead, so the message is still raised."""
+    try:
+        return show(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+
+
 class MatchkitError(Exception):
     """Base class for all matchkit errors."""
 

@@ -28,6 +28,7 @@ from .errors import (
     MatchkitError,
     NonFiniteEntryError,
     SizeLimitError,
+    _shown,
 )
 from .rng import Distribution, SplitMix64, Uniform01, _as_integer, _check_integer
 
@@ -59,7 +60,7 @@ def _coerce_matrix(rows, n: int, name: str) -> Matrix:
     """Validate an n-by-n matrix of finite numbers; return it frozen."""
     row_list = _row_list(rows, name)
     if len(row_list) != n:
-        raise DimensionMismatchError(f"{name} must have {n} rows, got {len(row_list)}")
+        raise DimensionMismatchError(f"{name} must have {_shown(n)} rows, got {len(row_list)}")
     out = []
     for r, row in enumerate(row_list):
         try:
@@ -109,7 +110,7 @@ def _check_count(name: str, value, low: int) -> int:
     rule, of at least ``low``."""
     count = _check_integer(name, value)
     if count < low:
-        raise DomainError(f"{name} must be >= {low}, got {count}")
+        raise DomainError(f"{name} must be >= {low}, got {_shown(count)}")
     return count
 
 
@@ -117,7 +118,7 @@ def _check_limit(what: str, n: int, limit: int) -> None:
     """The one size guard, in front of exponential work or a table too
     large to draw: at most ``limit`` couples."""
     if n > limit:
-        raise SizeLimitError(f"{what} limited to n <= {limit}, got {n}")
+        raise SizeLimitError(f"{what} limited to n <= {limit}, got {_shown(n)}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ class Matching:
             if j is None:
                 raise MalformedInputError(f"assignment[{i}] is not an integer")
             if not 0 <= j < n:
-                raise InvalidMatchingError(f"assignment[{i}]={j} out of range 0..{n - 1}")
+                raise InvalidMatchingError(f"assignment[{i}]={_shown(j)} out of range 0..{n - 1}")
             if inverse[j] != -1:
                 raise InvalidMatchingError(f"woman {j} assigned twice")
             inverse[j] = i
@@ -229,7 +230,7 @@ def _check_unit_interval(name: str, value) -> None:
     """The one range guard on sharing levels: ``value`` must be an int or
     a float (not a bool) in [0, 1]; NaN fails the comparison."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value}")
+        raise DomainError(f"{name} must lie in [0, 1], got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -287,9 +288,9 @@ def _check_pair(n: int, i, j) -> tuple[int, int]:
     integer rule, each in 0..n - 1."""
     pair = _as_integer(i), _as_integer(j)
     if None in pair:
-        raise MalformedInputError(f"pair ({i!r}, {j!r}) must be integers")
+        raise MalformedInputError(f"pair ({_shown(i, repr)}, {_shown(j, repr)}) must be integers")
     if not (0 <= pair[0] < n and 0 <= pair[1] < n):
-        raise DomainError(f"pair ({i}, {j}) out of range for n={n}")
+        raise DomainError(f"pair ({_shown(i)}, {_shown(j)}) out of range for n={n}")
     return pair
 
 

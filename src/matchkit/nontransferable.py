@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .instances import Instance, Matching, _check_fits, _check_limit, _lex_search, preference_orders
 from .tolerance import DEFAULT_EPS, _check_tolerance
 
@@ -60,7 +60,7 @@ def gale_shapley_detailed(inst: Instance, proposer: str = "men") -> GaleShapleyR
     so at most n*n proposals happen in total.
     """
     if proposer not in ("men", "women"):
-        raise DomainError(f'proposer must be "men" or "women", got {proposer!r}')
+        raise DomainError(f'proposer must be "men" or "women", got {_shown(proposer, repr)}')
     prefs = preference_orders(inst)
     if proposer == "men":
         husbands, proposals = _deferred_acceptance(prefs.men, prefs.women)

@@ -30,7 +30,6 @@ from .rng import SplitMix64, Uniform01, _check_integer, derive_seed
 from .tolerance import DEFAULT_EPS, _check_tolerance
 
 ORACLE_LIMIT = 8
-SWEEP_LIMIT = 6
 
 InstanceStream = Callable[[float, float, int], Instance]
 
@@ -236,9 +235,10 @@ def pq_plane_sweep(
 ) -> SweepReport:
     """Empirical existence map on a uniform (p, q) grid.
 
-    For each cell, ``gen(p, q, trial)`` supplies the instance (n <= 6)
-    and the existence oracle decides existence.  Cells are independent
-    work units; results are identical to sequential execution.
+    For each cell, ``gen(p, q, trial)`` supplies the instance and the
+    existence oracle, under its own size guard (n <= 8), decides
+    existence.  Cells are independent work units; results are identical
+    to sequential execution.
     """
     _check_tolerance(eps)
     grid_steps = _check_count("grid_steps", grid_steps, 2)
@@ -252,9 +252,7 @@ def pq_plane_sweep(
             pq = PQParams(p, q)
             count = 0
             for trial in range(trials):
-                inst = gen(p, q, trial)
-                _check_limit("sweep instances", inst.n, SWEEP_LIMIT)
-                if exists_pq_stable(inst, pq, eps=eps) is not None:
+                if exists_pq_stable(gen(p, q, trial), pq, eps=eps) is not None:
                     count += 1
             cells.append(SweepCell(p, q, trials, count))
     return SweepReport(tuple(cells))
@@ -271,8 +269,8 @@ def mixed_instance_stream(n: int, seed: int) -> InstanceStream:
     """
     n = _check_count("stream size", n, 1)
     seed = _check_integer("seed", seed)
-    # the 2n^2 draws of an oversized instance come before pq_plane_sweep's check
-    _check_limit("sweep instances", n, SWEEP_LIMIT)
+    # the oracle's own guard, before an oversized instance's 2n^2 draws
+    _check_limit("existence oracle", n, ORACLE_LIMIT)
 
     def gen(p: float, q: float, trial: int) -> Instance:
         cell_seed = derive_seed(seed, round(p * 10**9), round(q * 10**9), trial)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import DomainError, MalformedInputError
+from .errors import DomainError, MalformedInputError, _shown
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -44,7 +44,7 @@ class SplitMix64:
     def randint(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi]; modulo draw, bias ~range/2**64 is irrelevant here."""
         if hi < lo:
-            raise DomainError(f"empty integer range [{lo}, {hi}]")
+            raise DomainError(f"empty integer range [{_shown(lo)}, {_shown(hi)}]")
         return lo + self.next_u64() % (hi - lo + 1)
 
 

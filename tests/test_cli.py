@@ -368,9 +368,18 @@ class TestSweep:
     def test_size_limit_exit_3(self, runner, tmp_path):
         result = runner.invoke(
             main,
-            ["sweep", "--n", "7", "--grid", "3", "--trials", "1", "--out", str(tmp_path / "x")],
+            ["sweep", "--n", "9", "--grid", "3", "--trials", "1", "--out", str(tmp_path / "x")],
         )
         assert result.exit_code == 3
+        assert result.stderr == "error: existence oracle limited to n <= 8, got 9\n"
+
+    def test_oracle_limit_answers(self, runner, tmp_path):
+        out = tmp_path / "s8.csv"
+        result = runner.invoke(
+            main, ["sweep", "--n", "8", "--grid", "3", "--trials", "2", "--out", str(out)]
+        )
+        assert result.exit_code == 0
+        assert len(out.read_text().splitlines()) == 10  # header + 3*3 cells
 
 
 class TestCore:
@@ -535,6 +544,30 @@ class TestHygiene:
             ["check", "--instance", boxed_file, "--matching", matching, "--p", "1", "--q", "1"],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("seed", [13, 14])
+    def test_eps_zero_on_integer_tables_changes_nothing(self, runner, tmp_path, seed):
+        # integer rewards stay off the knife edge, so eps = 0 takes the exact paths
+        inst = str(tmp_path / "int.json")
+        gen = ["gen", "--n", "8", "--seed", str(seed), "--dist", "int:0:9", "--out", inst]
+        assert runner.invoke(main, gen).exit_code == 0
+        commands = []
+        for kind in ("nt", "ft"):
+            matching = str(tmp_path / f"{kind}.json")
+            commands.append(["solve", kind, "--instance", inst, "--out", matching])
+            for p, q in ((0, 0), (0.5, 0.5), (1, 1), (0, 1), (1, 0)):  # the bench's cells
+                check = ["check", "--instance", inst, "--matching", matching]
+                commands.append(check + ["--p", str(p), "--q", str(q)])
+
+        def outcomes(env):
+            return [
+                (result.exit_code, result.stdout)
+                for result in (runner.invoke(main, args, env=env) for args in commands)
+            ]
+
+        default = outcomes({"MATCHKIT_EPS": None})
+        assert {code for code, _ in default} == {0, 1}
+        assert outcomes({"MATCHKIT_EPS": "0"}) == default
 
     def test_bad_eps_env_exit_2(self, runner, boxed_file, monkeypatch):
         monkeypatch.setenv("MATCHKIT_EPS", "banana")

@@ -637,6 +637,7 @@ def eps_from_env(value):
 
 # Input refusals, as (call, error class, error text).
 TWO_ZERO_ROWS = ((0, 0), (0, 0))
+HUGE, HUGE_TEXT = 10**5000, "<16610-bit integer>"
 REFUSALS = {
     "Instance rows not iterable": (
         lambda: Instance(2, 5, TWO_ZERO_ROWS), MalformedInputError, "theta_m must be a list of rows"
@@ -876,6 +877,81 @@ REFUSALS = {
         lambda: eps_from_env("inf"),
         DomainError,
         "MATCHKIT_EPS must be a finite non-negative number",
+    ),
+    "mixed_instance_stream n=9": (
+        lambda: mixed_instance_stream(9, 1),
+        SizeLimitError,
+        "existence oracle limited to n <= 8, got 9",
+    ),
+    # Integers past CPython's 4,300-digit limit for decimal text are shown
+    # by their bit length.
+    "randint lo=10**5000": (
+        lambda: SplitMix64(1).randint(HUGE, 0),
+        DomainError,
+        f"empty integer range [{HUGE_TEXT}, 0]",
+    ),
+    "Matching([10**5000])": (
+        lambda: Matching((HUGE,)),
+        InvalidMatchingError,
+        f"assignment[0]={HUGE_TEXT} out of range 0..0",
+    ),
+    "delta_q pair (10**5000, 0)": (
+        lambda: delta_q(BOXED, Matching((0, 1)), HUGE, 0, 0.5),
+        DomainError,
+        f"pair ({HUGE_TEXT}, 0) out of range for n=2",
+    ),
+    "in_feasible_set pair (10**5000, 0)": (
+        lambda: in_feasible_set(BargainingModel("ft"), BOXED, HUGE, 0, 0.0, 0.0),
+        DomainError,
+        f"pair ({HUGE_TEXT}, 0) out of range for n=2",
+    ),
+    "in_interior pair (10**5000, 0.5)": (
+        lambda: in_interior(BargainingModel("ft"), BOXED, HUGE, 0.5, 0.0, 0.0),
+        MalformedInputError,
+        f"pair ({HUGE_TEXT}, 0.5) must be integers",
+    ),
+    "Instance n=10**5000": (
+        lambda: Instance(HUGE, [[0]], [[0]]),
+        DimensionMismatchError,
+        f"theta_m must have {HUGE_TEXT} rows, got 1",
+    ),
+    "random_instance n=10**5000": (
+        lambda: random_instance(HUGE, 1),
+        SizeLimitError,
+        f"instance generation limited to n <= 2000, got {HUGE_TEXT}",
+    ),
+    "mixed_instance_stream n=10**5000": (
+        lambda: mixed_instance_stream(HUGE, 1),
+        SizeLimitError,
+        f"existence oracle limited to n <= 8, got {HUGE_TEXT}",
+    ),
+    "pq_plane_sweep trials=-10**5000": (
+        lambda: pq_plane_sweep(mixed_instance_stream(2, 1), 2, -HUGE),
+        DomainError,
+        f"trials must be >= 1, got -{HUGE_TEXT}",
+    ),
+    "check_pq_monotonicity grid_steps=-10**5000": (
+        lambda: check_pq_monotonicity(BOXED, Matching((0, 1)), -HUGE),
+        DomainError,
+        f"grid_steps must be >= 2, got -{HUGE_TEXT}",
+    ),
+    "check_assumption samples=-10**5000": (
+        lambda: check_assumption(BargainingModel("ft"), BOXED, -HUGE, 1),
+        DomainError,
+        f"samples must be >= 1, got -{HUGE_TEXT}",
+    ),
+    "PQParams p=10**5000": (
+        lambda: PQParams(HUGE, 0.5), DomainError, f"p must lie in [0, 1], got {HUGE_TEXT}"
+    ),
+    "gale_shapley proposer=10**5000": (
+        lambda: gale_shapley(BOXED, proposer=HUGE),
+        DomainError,
+        f'proposer must be "men" or "women", got {HUGE_TEXT}',
+    ),
+    "BargainingModel kind=10**5000": (
+        lambda: BargainingModel(HUGE),
+        DomainError,
+        f"unknown model kind {HUGE_TEXT}; expected one of {matchkit.MODEL_KINDS}",
     ),
 }
 

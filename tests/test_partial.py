@@ -647,10 +647,22 @@ class TestPlaneSweep:
 
     def test_size_limit_propagates(self):
         def oversized(p, q, trial):
-            return random_instance(7, 0)
+            return random_instance(9, 0)
 
         with pytest.raises(SizeLimitError):
             pq_plane_sweep(oversized, 2, 1)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_counts_the_oracle_up_to_its_limit(self, n):
+        # the sweep has no guard of its own: each cell counts the oracle's answers
+        report = pq_plane_sweep(mixed_instance_stream(n, 5), 3, 2)
+        stream = mixed_instance_stream(n, 5)
+        expected = [
+            sum(exists_pq_stable(stream(p, q, t), PQParams(p, q)) is not None for t in range(2))
+            for p in (0.0, 0.5, 1.0)
+            for q in (0.0, 0.5, 1.0)
+        ]
+        assert [cell.existence_count for cell in report.grid] == expected
 
     def test_grid_domain(self):
         with pytest.raises(DomainError):
