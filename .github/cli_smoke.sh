@@ -6,7 +6,8 @@
 #   bash .github/cli_smoke.sh python -m matchkit.cli # the module
 #
 # Exits 1 at the first command whose exit code is not 0, or 1 with an
-# "unstable" verdict ("stable: no", "core-valid: no").
+# "unstable" verdict ("stable: no", "core-valid: no"), and at the first
+# refusal step that does not exit 2 with its expected error line.
 set -u
 if [ "$#" -eq 0 ]; then
   set -- matchkit
@@ -27,6 +28,18 @@ step() {
   fi
 }
 
+# Expects exit 2 and the error line given first.
+refuse() {
+  local expected=$1 out code=0
+  shift
+  out=$("$@" 2>&1) || code=$?
+  printf '$ %s\n%s\n' "$*" "$out"
+  if [ "$code" -ne 2 ] || [ "$out" != "$expected" ]; then
+    echo "exit $code, expected 2 with: $expected" >&2
+    exit 1
+  fi
+}
+
 step "$@" gen --n 4 --seed 7 --out "$work/inst.json"
 step "$@" gen --n 4 --seed 7 --dist int:-3:3 --out "$work/int.json"
 step "$@" solve nt --instance "$work/inst.json" --out "$work/nt.json"
@@ -37,4 +50,8 @@ step "$@" core --model fnt --instance "$work/inst.json" --matching "$work/ft.jso
 step "$@" counterexample --p 0.2 --q 0.8 --out "$work/ce.json"
 step "$@" sweep --n 3 --grid 3 --trials 2 --seed 1 --out "$work/sweep.csv"
 step "$@" sweep --n 8 --grid 3 --trials 4 --seed 1 --out "$work/sweep8.csv"
+# Each side's table is finite but the pooled one overflows.
+big='[[1e308, 1e308], [1e308, 1e308]]'
+printf '{"n": 2, "theta_m": %s, "theta_w": %s}\n' "$big" "$big" > "$work/pooled.json"
+refuse "error: theta[0][0] is not finite" "$@" solve ft --instance "$work/pooled.json"
 echo "cli smoke: all commands ran"

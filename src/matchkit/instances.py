@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -38,6 +39,7 @@ Matrix = tuple[tuple[float, ...], ...]
 # np.float64 subclasses float, so float() converts it as the check would.
 _PLAIN_NUMBERS = {int, float, np.float64}
 _FLOATS = {float}  # a row of these is kept as it is
+_NUMBERS = (int, float, np.integer, np.floating)  # np.bool_ is neither
 
 GENERATION_LIMIT = 2000  # random_instance holds 2n^2 Python floats at once
 
@@ -56,8 +58,26 @@ def _row_list(rows, name: str) -> list:
         raise MalformedInputError(f"{name} must be a list of rows") from None
 
 
+class _Table(tuple):
+    """A validated n-by-n table of finite floats.  It compares, hashes,
+    prints and pickles as its tuple of float tuples; ``array`` is its
+    float64 array, built on first use, read-only, and kept."""
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        arr = np.array(self, dtype=float)
+        arr.flags.writeable = False
+        return arr
+
+    def __reduce__(self):
+        return _Table, (tuple(self),)
+
+
 def _coerce_matrix(rows, n: int, name: str) -> Matrix:
-    """Validate an n-by-n matrix of finite numbers; return it frozen."""
+    """Validate an n-by-n matrix of finite numbers; return it frozen, as a
+    ``_Table``.  A ``_Table`` of n rows is returned as it is."""
+    if isinstance(rows, _Table) and len(rows) == n:
+        return rows
     row_list = _row_list(rows, name)
     if len(row_list) != n:
         raise DimensionMismatchError(f"{name} must have {_shown(n)} rows, got {len(row_list)}")
@@ -74,14 +94,15 @@ def _coerce_matrix(rows, n: int, name: str) -> Matrix:
                 f"{name} row {r} must have {n} entries, got {len(entries)}"
             )
         out.append(_coerce_row(entries, name, r))
-    return tuple(out)
+    return _Table(out)
 
 
 def _coerce_row(entries: tuple, name: str, r: int | None = None) -> tuple[float, ...]:
     """The one finite-number check: ``entries`` as floats.  A row of plain
     numbers with a finite sum (so only finite terms) passes at once; any
-    other goes entry by entry, admitting int and float subclasses but not
-    bool, and names the first offending entry, ``name[r][c]`` or ``name[c]``."""
+    other goes entry by entry, admitting int and float subclasses and numpy
+    numbers by their float value, but not bool or ``np.bool_``, and names
+    the first offending entry, ``name[r][c]`` or ``name[c]``."""
     types = set(map(type, entries))
     if types <= _PLAIN_NUMBERS:
         try:
@@ -93,7 +114,7 @@ def _coerce_row(entries: tuple, name: str, r: int | None = None) -> tuple[float,
     where = name if r is None else f"{name}[{r}]"
     vals = []
     for c, x in enumerate(entries):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
+        if isinstance(x, bool) or not isinstance(x, _NUMBERS):
             raise MalformedInputError(f"{where}[{c}] is not a number")
         try:
             x = float(x)
@@ -310,11 +331,16 @@ class PreferenceProfile:
 
 
 def combined_rewards(inst: Instance) -> Matrix:
-    """Pooled reward table: entrywise sum of the two sides' tables."""
-    return tuple(
+    """Pooled reward table: entrywise sum of the two sides' tables.  When
+    every sum is finite it is a validated ``_Table``; an overflowing one
+    stays a plain tuple, for the engines to refuse."""
+    pooled = tuple(
         tuple(tm + tw for tm, tw in zip(row_m, row_w))
         for row_m, row_w in zip(inst.theta_m, inst.theta_w)
     )
+    # a row's sum can overflow on finite terms: only then test each term
+    finite = all(math.isfinite(sum(row)) or all(map(math.isfinite, row)) for row in pooled)
+    return _Table(pooled) if finite else pooled
 
 
 def preference_orders(inst: Instance) -> PreferenceProfile:
@@ -323,7 +349,7 @@ def preference_orders(inst: Instance) -> PreferenceProfile:
     One stable argsort of both sides' negated rewards: equal rewards tie,
     keep ascending index order, and are flagged.
     """
-    tables = -np.array(inst.theta_m + tuple(zip(*inst.theta_w)))
+    tables = -np.concatenate((inst.theta_m.array, inst.theta_w.array.T))
     order = np.argsort(tables, axis=1, kind="stable")
     tables.sort(axis=1)
     lists = tuple(map(tuple, order.tolist()))

@@ -31,7 +31,8 @@ def find_fnt_blocking_pairs(
     """
     _check_tolerance(eps)
     _check_fits(inst.n, matching)
-    theta_w, husbands = inst.theta_w, matching.inverse
+    # a plain tuple: CPython's fast subscript takes tuple itself, not a subclass
+    theta_w, husbands = tuple(inst.theta_w), matching.inverse
     pairs = []
     for i, (row_m, row_w, wi) in enumerate(zip(inst.theta_m, theta_w, matching.assignment)):
         own = row_m[wi]  # his gain with his own wife is exactly 0, and eps >= 0
@@ -125,7 +126,7 @@ def enumerate_fnt_stable(inst: Instance, *, eps: float = DEFAULT_EPS) -> list[Ma
     _check_tolerance(eps)
     n = inst.n
     _check_limit("stable-set enumeration", n, ENUMERATION_LIMIT)
-    theta_m, theta_w = inst.theta_m, inst.theta_w
+    theta_m, theta_w = tuple(inst.theta_m), tuple(inst.theta_w)  # as in find_fnt_blocking_pairs
 
     def keep(prefix: tuple[int, ...], b: int, women: list[int]) -> list[int]:
         k = len(prefix) - 1

@@ -103,7 +103,7 @@ def _prefix_weights(inst: Instance, prefix, p: float, q: float) -> list[list[flo
     """``_pq_weights`` for the couples of ``prefix``, a matching's first men
     (the oracle's are whole), by the same float operations in Python, the
     faster form at <= 8 couples.  On finite tables own margins are exactly 0."""
-    own_w = [inst.theta_w[b][wb] for b, wb in enumerate(prefix)]
+    own_w = [row_w[wb] for row_w, wb in zip(inst.theta_w, prefix)]
     weights = []
     for row_m, row_w, wa in zip(inst.theta_m, inst.theta_w, prefix):
         base_m = row_m[wa]
@@ -129,7 +129,7 @@ def find_pq_blocking_chain(
     """
     _check_tolerance(eps)
     _check_fits(inst.n, matching)
-    tables = np.array(inst.theta_m), np.array(inst.theta_w)
+    tables = inst.theta_m.array, inst.theta_w.array
     found = find_positive_cycle(_pq_weights(*tables, matching.assignment, pq.p, pq.q), eps)
     return True if found is None else PQChainWitness(*found)
 
@@ -152,7 +152,8 @@ def exists_pq_stable(
     n = inst.n
     _check_limit("existence oracle", n, ORACLE_LIMIT)
     p, q = pq.p, pq.q
-    theta_m, theta_w = inst.theta_m, inst.theta_w
+    # plain tuples: CPython's fast subscript takes tuple itself, not a subclass
+    theta_m, theta_w = tuple(inst.theta_m), tuple(inst.theta_w)
     # A cycle gaining more than eps + slack keeps the detector from settling
     # on a full matching, whose weights are at most 4 reward spreads, and an
     # unsettled detector on at most cycles._BRUTE_FORCE_LIMIT couples, which
@@ -303,7 +304,7 @@ def check_pq_monotonicity(
     _check_tolerance(eps)
     grid_steps = _check_count("grid_steps", grid_steps, 2)
     _check_fits(inst.n, matching)
-    tables = np.array(inst.theta_m), np.array(inst.theta_w)
+    tables = inst.theta_m.array, inst.theta_w.array
     denom = grid_steps - 1
     stable = [[False] * grid_steps for _ in range(grid_steps)]
     for ip in range(grid_steps):

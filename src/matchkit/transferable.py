@@ -22,7 +22,9 @@ import numpy as np
 
 from .cycles import _resum_error, find_positive_cycle, linear_sum_assignment
 from .errors import DimensionMismatchError, NotCyclicallyMonotoneError, PreconditionError
-from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row, _row_list
+from .instances import (
+    CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row, _row_list, _Table,
+)
 from .partial_transfer import _pq_weights
 from .tolerance import DEFAULT_EPS, _check_tolerance, rounding_bound
 
@@ -45,16 +47,17 @@ class ChainWitness:
 
 
 def _square(theta, matching: Matching | None = None, cuts: CutVector | None = None) -> np.ndarray:
-    """``theta`` validated as a square float array; the matching and the
-    cuts, when given, must fit its size."""
-    rows = _row_list(theta, "theta")
-    n = len(rows)
-    if n == 0:
+    """``theta`` validated as a square float array, read-only; the matching
+    and the cuts, when given, must fit its size.  A ``_Table`` is already
+    validated."""
+    if not isinstance(theta, _Table):
+        rows = _row_list(theta, "theta")
+        theta = _coerce_matrix(rows, len(rows), "theta")
+    if not theta:
         raise DimensionMismatchError("theta must not be empty")
-    arr = np.array(_coerce_matrix(rows, n, "theta"), dtype=float).reshape(n, n)
     if matching is not None:
-        _check_fits(n, matching, cuts)
-    return arr
+        _check_fits(len(theta), matching, cuts)
+    return theta.array
 
 
 def _underpaid(arr: np.ndarray, cuts: CutVector, eps: float) -> np.ndarray:

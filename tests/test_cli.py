@@ -80,6 +80,15 @@ class TestSolve:
         assert "total value: inf" in result.output
         assert "core audit: ok" in result.output
 
+    def test_ft_overflowing_pooled_table_exit_2(self, runner, tmp_path):
+        # each side's table is finite, their sum is not
+        big = ((1e308, 1e308), (1e308, 1e308))
+        path = tmp_path / "pooled.json"
+        path.write_text(serialize_instance(Instance(2, big, big)))
+        result = runner.invoke(main, ["solve", "ft", "--instance", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: theta[0][0] is not finite\n"
+
     def test_ft_chain_hidden_by_rounding_exit_2(self, runner, tmp_path):
         # Both totals round to 8.9e307, so the optimal solve keeps the
         # identity, which the chain (0, 1) beats by 1.

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import pickle
 import random
 import re
 import struct
@@ -70,7 +71,9 @@ from matchkit import (
     verify_men_optimality,
 )
 from matchkit.cycles import best_cycle_bruteforce
-from matchkit.instances import _instance_from, _load_json, _matching_from, _shallow_utf8
+from matchkit.instances import (
+    _coerce_matrix, _instance_from, _load_json, _matching_from, _shallow_utf8, _Table,
+)
 
 from conftest import BOXED_THETA_M, BOXED_THETA_W, ranking_corpus
 
@@ -112,6 +115,79 @@ class TestCombinedRewards:
     def test_symmetric_in_summands(self, boxed):
         swapped = Instance(2, boxed.theta_w, boxed.theta_m)
         assert combined_rewards(boxed) == combined_rewards(swapped)
+
+
+# Entries at the edges of what a validated table holds.
+TABLE_EDGES = (
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7e308, 2**53 + 1,
+    -(2**70), 0, 1, -1,
+)
+table_entry = st.one_of(
+    st.sampled_from(TABLE_EDGES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**20), 10**20),
+)
+
+
+@st.composite
+def square_rows(draw):
+    n = draw(st.integers(1, 4))
+    row = st.lists(table_entry, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+class TestTable:
+    @settings(max_examples=200)
+    @given(square_rows())
+    def test_array_bit_equals_numpy_conversion(self, rows):
+        arr = _coerce_matrix(rows, len(rows), "theta").array
+        expected = np.array(rows, dtype=float)
+        assert arr.dtype == expected.dtype and arr.shape == expected.shape
+        assert arr.tobytes() == expected.tobytes()
+
+    def test_array_is_lazy_read_only_and_kept(self):
+        table = _coerce_matrix([[1, 2], [3, 4]], 2, "theta")
+        assert "array" not in vars(table)
+        arr = table.array
+        assert table.array is arr
+        with pytest.raises(ValueError):
+            arr[0, 0] = 5.0
+        assert table == ((1.0, 2.0), (3.0, 4.0)) and arr.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_validated_table_is_returned_as_it_is(self):
+        table = _coerce_matrix([[1, 2], [3, 4]], 2, "theta")
+        assert _coerce_matrix(table, 2, "theta_m") is table
+        assert Instance(2, table, table).theta_w is table
+        with pytest.raises(DimensionMismatchError, match=r"^theta must have 3 rows, got 2$"):
+            _coerce_matrix(table, 3, "theta")
+
+    def test_tables_keep_tuple_equality_hash_repr_and_pickle(self):
+        inst = Instance(2, ((1, 2), (3, 4)), ((0.5, -0.0), (5e-324, 1e308)), ((0.5, 1), (1, 0.25)))
+        for table in (inst.theta_m, inst.theta_w, inst.beta, combined_rewards(inst)):
+            assert type(table) is _Table
+            table.array  # a built array shows in none of these
+            plain = tuple(map(tuple, table))
+            assert table == plain and plain == table
+            assert hash(table) == hash(plain) and repr(table) == repr(plain)
+            again = pickle.loads(pickle.dumps(table))
+            assert again == table and type(again) is _Table and "array" not in vars(again)
+            assert b"numpy" not in pickle.dumps(table)
+        same = Instance(2, ((1.0, 2.0), (3.0, 4.0)), inst.theta_w, inst.beta)
+        assert inst == same and hash(inst) == hash(same)
+        assert repr(inst).startswith("Instance(n=2, theta_m=((1.0, 2.0), (3.0, 4.0)), theta_w=")
+        again = pickle.loads(pickle.dumps(inst))
+        assert again == inst and hash(again) == hash(inst) and repr(again) == repr(inst)
+        assert again.theta_m.array.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_overflowing_pooled_table_stays_plain(self):
+        big = ((1e308, 1e308), (1e308, 1e308))
+        pooled = combined_rewards(Instance(2, big, big))
+        assert type(pooled) is tuple and pooled[0][0] == math.inf
+        with pytest.raises(NonFiniteEntryError, match=r"^theta\[0\]\[0\] is not finite$"):
+            optimal_assignment(pooled)
+        # finite sums whose row total overflows are validated
+        edge = ((1.7e308, 1.7e308), (0, 0))
+        assert type(combined_rewards(Instance(2, edge, TWO_ZERO_ROWS))) is _Table
 
 
 class TestPreferenceOrders:
@@ -285,9 +361,10 @@ class TestSerialization:
         for call in (lambda t: Instance(2, t, t), optimal_assignment):
             got = [outcome(call, form) for form in forms]
             assert got[0] == got[1] == got[2]
-        # integer arrays are not taken as numbers
+        # integer arrays are taken by their float values, boolean ones are not numbers
+        assert Instance(2, np.array(((1, 2), (3, 4))), TWO_ZERO_ROWS).theta_m == ((1, 2), (3, 4))
         with pytest.raises(MalformedInputError, match=r"^theta_m\[0\]\[0\] is not a number$"):
-            Instance(2, np.array(((1, 2), (3, 4))), TWO_ZERO_ROWS)
+            Instance(2, np.array(((True, False), (False, True))), TWO_ZERO_ROWS)
 
     def test_matching_round_trip(self):
         m = Matching((2, 0, 1))
@@ -554,6 +631,27 @@ class TestDomainTypes:
             inst, matching, 1, 2, 0.5
         )
         assert in_interior(BargainingModel("ft"), inst, np.int32(0), 2, -5.0, -5.0)
+
+    def test_tables_admit_numpy_numbers(self):
+        expected = optimal_assignment([[1, 2], [3, 4]])
+        tables = (
+            np.array([[1, 2], [3, 4]]),
+            np.array([[1, 2], [3, 4]], dtype=np.float32),
+            [[np.int8(1), np.uint64(2)], [np.float16(3), np.float32(4)]],
+        )
+        for table in tables:
+            assert optimal_assignment(table) == expected
+            theta_m = Instance(2, table, TWO_ZERO_ROWS).theta_m
+            assert theta_m == ((1.0, 2.0), (3.0, 4.0))
+            assert all(type(x) is float for row in theta_m for x in row)
+        assert Instance(1, np.array([[0.1]], dtype=np.float32), ((0,),)).theta_m == (
+            (float(np.float32(0.1)),),
+        )
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(MalformedInputError, match=r"^theta\[0\]\[1\] is not a number$"):
+                optimal_assignment([[1, flag], [3, 4]])
+        with pytest.raises(NonFiniteEntryError, match=r"^theta_m\[1\]\[0\] is not finite$"):
+            Instance(2, np.array([[1, 2], [np.nan, 4]], dtype=np.float32), TWO_ZERO_ROWS)
 
     def test_matching_out_of_range(self):
         with pytest.raises(InvalidMatchingError):

@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from matchkit import (
     CutVector,
     IntegerRange,
+    MalformedInputError,
     Matching,
     MatchkitError,
     NonFiniteEntryError,
@@ -27,7 +28,7 @@ from matchkit import (
     verify_ft_core,
 )
 from matchkit.cycles import best_cycle_bruteforce, find_positive_cycle
-from matchkit import transferable
+from matchkit import instances, transferable
 from matchkit.rng import SplitMix64
 
 from conftest import corpus_instance, count_calls, seeded_permutation
@@ -534,6 +535,31 @@ class TestVerifyFtCore:
         cuts = CutVector((0.0, 0.0), (0.0, 0.0))
         for assignment in ((0, 1), (1, 0)):
             assert verify_ft_core(theta, Matching(assignment), cuts)
+
+
+class TestOneValidation:
+    def test_pooled_table_is_validated_once(self, monkeypatch):
+        inner = instances._coerce_row
+        names = []
+
+        def counted(entries, name, r=None):
+            names.append(name)
+            return inner(entries, name, r)
+
+        theta = combined_rewards(random_instance(6, 3))
+        monkeypatch.setattr(instances, "_coerce_row", counted)
+        matching, _ = optimal_assignment(theta)
+        cuts = dual_cuts(theta, matching)
+        assert verify_ft_core(theta, matching, cuts)
+        assert names == ["u", "v"]  # the cut vector dual_cuts builds, no table row
+        # a plain table is checked in full, with the same message as before
+        plain = [list(row) for row in theta]
+        names.clear()
+        assert optimal_assignment(plain) == (matching, optimal_assignment(theta)[1])
+        assert names == ["theta"] * 6
+        plain[0][1] = True
+        with pytest.raises(MalformedInputError, match=r"^theta\[0\]\[1\] is not a number$"):
+            optimal_assignment(plain)
 
 
 class TestCutOptimality:
