@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Runs every CLI command once on a 4-couple instance, through the command
-# given as arguments (default: the installed `matchkit` console script):
+# Runs every CLI command once on a 4-couple instance, and the chain checks on
+# 60 couples, through the command given as arguments (default: the installed
+# `matchkit` console script):
 #
 #   bash .github/cli_smoke.sh                        # the entry point
 #   bash .github/cli_smoke.sh python -m matchkit.cli # the module
@@ -46,6 +47,11 @@ step "$@" solve nt --instance "$work/inst.json" --out "$work/nt.json"
 step "$@" solve ft --instance "$work/inst.json" --out "$work/ft.json"
 step "$@" check --instance "$work/inst.json" --matching "$work/ft.json" --p 0 --q 0
 step "$@" check --instance "$work/inst.json" --matching "$work/nt.json" --p 0.5 --q 0.5
+# 60 couples: the chain checks run the detector past its enumeration limit.
+step "$@" gen --n 60 --seed 7 --out "$work/inst60.json"
+step "$@" solve nt --instance "$work/inst60.json" --out "$work/nt60.json"
+step "$@" check --instance "$work/inst60.json" --matching "$work/nt60.json" --p 1 --q 1
+step "$@" check --instance "$work/inst60.json" --matching "$work/nt60.json" --p 0.5 --q 0.5
 step "$@" core --model fnt --instance "$work/inst.json" --matching "$work/ft.json"
 step "$@" counterexample --p 0.2 --q 0.8 --out "$work/ce.json"
 step "$@" sweep --n 3 --grid 3 --trials 2 --seed 1 --out "$work/sweep.csv"

@@ -19,6 +19,14 @@ answers it in three stages.
    parent per node) is walked in O(n); if one of its cycles gains more
    than eps, the best of them is returned at once (Cherkassky and
    Goldberg, 1999, "Negative-cycle detection algorithms").
+   The weights come as a float64 array, from
+   ``partial_transfer._pq_weights`` for a whole matching, or as list
+   rows, from the existence oracle's ``_prefix_weights`` at n <= 8, the
+   faster form to build at that size.  An array's cost table is built by
+   numpy, the same IEEE operation on each entry, and turned into list
+   rows once; list rows are converted in Python.  One loop relaxes
+   either, and gains are Python floats added from the cycle's smallest
+   node.
 2. Cycle cover.  If the passes end unsettled without such a cycle, the
    shifted test saw a cycle gaining between k*eps/n and eps, or rounding
    blurred one.  A simple cycle leaves each node once and enters it
@@ -44,7 +52,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import inf
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -53,7 +61,9 @@ from .tolerance import rounding_bound
 
 _BRUTE_FORCE_LIMIT = 10
 
-WeightMatrix = Sequence[Sequence[float]]
+# A float64 array (whole matchings) or list rows (the existence oracle's
+# prefixes); both give the same cycles and gains.
+WeightMatrix = Union[np.ndarray, Sequence[Sequence[float]]]
 Found = tuple[tuple[int, ...], float]
 
 
@@ -85,7 +95,13 @@ def _best_of(
     best: Found | None = None
     for cycle in cycles:
         canon = _canonical(cycle)
-        gain = _cycle_gain(weights, canon)
+        if isinstance(weights, np.ndarray):
+            # the hops as Python floats, added in the list path's order
+            gain = 0.0
+            for w in weights[canon, canon[1:] + canon[:1]].tolist():
+                gain += w
+        else:
+            gain = _cycle_gain(weights, canon)
         if gain > eps and (best is None or gain > best[1]):
             best = (canon, gain)
     return best
@@ -121,6 +137,8 @@ def _cycle_cover(weights: WeightMatrix, eps: float) -> Found | None:
     n = len(weights)
     arr = np.array(weights, dtype=float)
     np.fill_diagonal(arr, 0.0)
+    if isinstance(weights, np.ndarray):
+        weights = weights.tolist()  # the rows once, for the re-sums below
     # Rounding is monotone, so a cycle's float sum is at most the float sum
     # of its nodes' positive maxima, which lies within gamma_{n-1} of its
     # exact value, as does the computed bound.  gamma_{4n} covers both and
@@ -167,9 +185,15 @@ def find_positive_cycle(weights: WeightMatrix, eps: float) -> Found | None:
     if n < 2:
         return None
     shift = eps / n
-    cost = [[-(w - shift) for w in row] for row in weights]
-    for a in range(n):
-        cost[a][a] = inf  # no self-loops
+    if isinstance(weights, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost = -(weights - shift)
+        np.fill_diagonal(cost, inf)  # no self-loops
+        cost = cost.tolist()
+    else:
+        cost = [[-(w - shift) for w in row] for row in weights]
+        for a in range(n):
+            cost[a][a] = inf  # no self-loops
     dist = [0.0] * n
     pred = [-1] * n
     # Rescanning a row whose distance has not moved since its last scan

@@ -106,12 +106,15 @@ def _chain_distances(
     float limit can overflow to inf or nan, left to the callers; a pass
     leaves -inf and nan in place, so such distances can settle too.
 
-    The cycle detector keeps its own row-skipping loop, as each is the
-    faster on its own traffic (CPython 3.11, numpy 2.4, 2 cores): that
-    loop here gives identical cuts but takes ``dual_cuts`` from 0.48 to
-    0.83 ms at n = 50 and 3.2 to 6.9 ms at n = 150, ``optimal_assignment``
-    from 5.3 to 8.9 ms at n = 150; this one on the detector's stable
-    weights takes 0.079 against 0.018 ms at n = 8, 6.3 against 2.4 at 150.
+    The cycle detector keeps its own row-skipping loop (CPython 3.11,
+    numpy 2.4, 2 cores): that loop here gives identical cuts but takes
+    ``dual_cuts`` from 0.48 to 0.83 ms at n = 50 and 3.2 to 6.9 ms at
+    n = 150, ``optimal_assignment`` from 5.3 to 8.9 ms at n = 150.  This
+    one on the array-fed detector's chain weights, uniform tables: where a
+    chain gains (deferred acceptance at (1, 1)), 0.058 against 0.016 ms at
+    n = 8 and 5.4 against 1.3 ms at n = 150, as the detector stops at its
+    first gaining parent cycle; where none does (the optimal assignment),
+    0.029 against 0.018 ms at n = 8 but 0.7-1.1 against 3.8-5.1 ms at 150.
     """
     own = arr[np.arange(arr.shape[0]), assignment]
     dist = np.zeros(arr.shape[0])

@@ -9,6 +9,7 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import matchkit.cli as cli
 import matchkit.cycles as cycles
@@ -17,14 +18,18 @@ from matchkit import (
     Instance,
     Matching,
     MatchkitError,
+    NotCyclicallyMonotoneError,
     PQParams,
     SplitMix64,
+    combined_rewards,
     derive_seed,
     dual_cuts,
     exists_pq_stable,
     find_pq_blocking_chain,
+    gale_shapley,
     is_cyclically_monotone,
     optimal_assignment,
+    random_instance,
     transferable,
 )
 from matchkit.cycles import best_cycle_bruteforce, find_positive_cycle
@@ -273,3 +278,79 @@ class TestRoundingModel:
                     certified += 1
                     assert all(gain <= eps for _, gain in float_gains(chains)), (theta, eps)
         assert certified > 100
+
+
+# Signed zeros, the subnormal edge, eps scale and entries whose differences
+# overflow; a table holding +-1.7e308 gives the nan of 0 * inf at q = 0.
+EDGE_ENTRIES = (0.0, -0.0, 5e-324, 1e-10, 5e-10, 1.0, -1.0, 1e308, -1e308, 1.7e308, -1.7e308)
+
+
+def weight_arrays():
+    """(n, weight array): chain weights at n = 2-30 under seeded matchings,
+    at every cell, from edge-entry, uniform and near-indifferent tables,
+    whose knife edges reach the cover stage, and at n <= 10 the
+    enumeration; then rounding-corpus matrices, whose diagonals are not 0."""
+    for weights in rounding_corpus(300, 3):
+        yield len(weights), np.array(weights)
+    rng = SplitMix64(86)
+    for k in range(87):
+        n = 2 + k % 29
+        if k % 3 == 0:
+            tables = [
+                tuple(tuple(EDGE_ENTRIES[rng.randint(0, len(EDGE_ENTRIES) - 1)] for _ in range(n))
+                      for _ in range(n))
+                for _ in range(2)
+            ]
+            inst = Instance(n, *tables)
+        elif k % 3 == 1:
+            inst = random_instance(n, derive_seed(87, k))
+        else:
+            inst = near_indifferent_instance(n, derive_seed(88, k))
+        assignment = seeded_permutation(inst.n, rng)
+        for p, q in CELLS:
+            yield inst.n, _pq_weights(inst.theta_m.array, inst.theta_w.array, assignment, p, q)
+
+
+class TestArrayInput:
+    def test_array_and_list_rows_give_the_same_cycle_and_gain(self, monkeypatch):
+        enumerated = count_calls(monkeypatch, cycles, "best_cycle_bruteforce")
+        sizes, found_any, nans = set(), 0, 0
+        for n, arr in weight_arrays():
+            rows = arr.tolist()
+            nans += int(np.isnan(arr).sum())
+            for eps in (EPS, 0.0):
+                found = find_positive_cycle(arr, eps)
+                assert repr(found) == repr(find_positive_cycle(rows, eps)), (rows, eps)
+                if found is not None:
+                    assert type(found[1]) is float
+                    found_any += 1
+            sizes.add(n)
+        assert sizes == set(range(2, 31))
+        assert found_any > 100 and nans > 100
+        assert any(n <= cycles._BRUTE_FORCE_LIMIT for n in enumerated)
+
+
+class TestWitnessGainsArePythonFloats:
+    """Whole-matching witnesses come from the weight array; their gains
+    stay Python floats, as the CLI prints their repr."""
+
+    @pytest.mark.parametrize("n", (12, 60))
+    def test_unstable_deferred_acceptance_matching(self, n):
+        inst = random_instance(n, derive_seed(89, n))
+        matching = gale_shapley(inst)
+        chain = find_pq_blocking_chain(inst, matching, PQParams(0.5, 0.5))
+        witness = is_cyclically_monotone(combined_rewards(inst), matching)
+        assert chain is not True and witness is not True
+        assert type(chain.clipped_gain) is float and type(witness.gain) is float
+        assert "np.float64(" not in repr(chain) + repr(witness)
+
+    @pytest.mark.parametrize("n", (12, 60))
+    def test_dual_cuts_names_a_planted_chain(self, n):
+        theta = planted_cycle_table(n, derive_seed(90, n))
+        with pytest.raises(NotCyclicallyMonotoneError) as caught:
+            dual_cuts(theta, Matching(tuple(range(n))))
+        message = str(caught.value)
+        assert message.startswith("matching admits blocking chain (")
+        assert "np.float64(" not in message
+        gain = message.rsplit(" ", 1)[1]
+        assert repr(float(gain)) == gain

@@ -285,7 +285,7 @@ class TestBlockingChain:
             tables = np.array(inst.theta_m), np.array(inst.theta_w)
             a = matching.assignment
             for p, q in cells:
-                whole = reprs(_pq_weights(*tables, a, p, q))
+                whole = reprs(_pq_weights(*tables, a, p, q).tolist())
                 assert whole == reprs(_prefix_weights(inst, a, p, q)), (inst, a, p, q)
                 assert whole == reprs(pq_weight_matrix(inst, matching, p, q)), (inst, a, p, q)
                 for k in range(2, min(inst.n, 8) + 1):
