@@ -8,7 +8,7 @@
 #
 # Exits 1 at the first command whose exit code is not 0, or 1 with an
 # "unstable" verdict ("stable: no", "core-valid: no"), and at the first
-# refusal step that does not exit 2 with its expected error line.
+# refusal step that does not exit with its expected code and error line.
 set -u
 if [ "$#" -eq 0 ]; then
   set -- matchkit
@@ -29,14 +29,14 @@ step() {
   fi
 }
 
-# Expects exit 2 and the error line given first.
+# Expects the exit code and the error line given first.
 refuse() {
-  local expected=$1 out code=0
-  shift
+  local status=$1 expected=$2 out code=0
+  shift 2
   out=$("$@" 2>&1) || code=$?
   printf '$ %s\n%s\n' "$*" "$out"
-  if [ "$code" -ne 2 ] || [ "$out" != "$expected" ]; then
-    echo "exit $code, expected 2 with: $expected" >&2
+  if [ "$code" -ne "$status" ] || [ "$out" != "$expected" ]; then
+    echo "exit $code, expected $status with: $expected" >&2
     exit 1
   fi
 }
@@ -59,5 +59,10 @@ step "$@" sweep --n 8 --grid 3 --trials 4 --seed 1 --out "$work/sweep8.csv"
 # Each side's table is finite but the pooled one overflows.
 big='[[1e308, 1e308], [1e308, 1e308]]'
 printf '{"n": 2, "theta_m": %s, "theta_w": %s}\n' "$big" "$big" > "$work/pooled.json"
-refuse "error: theta[0][0] is not finite" "$@" solve ft --instance "$work/pooled.json"
+refuse 2 "error: theta[0][0] is not finite" "$@" solve ft --instance "$work/pooled.json"
+# Size limits: the existence oracle and the ft core search.
+refuse 3 "error: existence oracle limited to n <= 8, got 9" \
+  "$@" sweep --n 9 --grid 3 --trials 1 --seed 1 --out "$work/sweep9.csv"
+refuse 3 "error: core search limited to n <= 3, got 4" \
+  "$@" core --model ft --instance "$work/inst.json" --matching "$work/ft.json"
 echo "cli smoke: all commands ran"

@@ -22,11 +22,11 @@ answers it in three stages.
    The weights come as a float64 array, from
    ``partial_transfer._pq_weights`` for a whole matching, or as list
    rows, from the existence oracle's ``_prefix_weights`` at n <= 8, the
-   faster form to build at that size.  An array's cost table is built by
-   numpy, the same IEEE operation on each entry, and turned into list
-   rows once; list rows are converted in Python.  One loop relaxes
-   either, and gains are Python floats added from the cycle's smallest
-   node.
+   faster form to build at that size.  Only the cost build tells the
+   two apart: numpy makes an array's cost table, the same IEEE
+   operation on each entry, and turns it into list rows once; list rows
+   are converted in Python.  One loop relaxes either, and every gain is
+   re-summed as Python floats from the cycle's smallest node.
 2. Cycle cover.  If the passes end unsettled without such a cycle, the
    shifted test saw a cycle gaining between k*eps/n and eps, or rounding
    blurred one.  A simple cycle leaves each node once and enters it
@@ -74,14 +74,6 @@ def linear_sum_assignment(cost, maximize: bool = False):
     return solve(cost, maximize=maximize)
 
 
-def _cycle_gain(weights: WeightMatrix, cycle: Sequence[int]) -> float:
-    total = 0.0
-    k = len(cycle)
-    for idx in range(k):
-        total += weights[cycle[idx]][cycle[(idx + 1) % k]]
-    return total
-
-
 def _canonical(cycle: Sequence[int]) -> tuple[int, ...]:
     """Rotate so the smallest node comes first; fixes the reported form."""
     pivot = cycle.index(min(cycle))
@@ -95,13 +87,9 @@ def _best_of(
     best: Found | None = None
     for cycle in cycles:
         canon = _canonical(cycle)
-        if isinstance(weights, np.ndarray):
-            # the hops as Python floats, added in the list path's order
-            gain = 0.0
-            for w in weights[canon, canon[1:] + canon[:1]].tolist():
-                gain += w
-        else:
-            gain = _cycle_gain(weights, canon)
+        gain = 0.0
+        for a, b in zip(canon, canon[1:] + canon[:1]):
+            gain += float(weights[a][b])
         if gain > eps and (best is None or gain > best[1]):
             best = (canon, gain)
     return best
@@ -137,8 +125,6 @@ def _cycle_cover(weights: WeightMatrix, eps: float) -> Found | None:
     n = len(weights)
     arr = np.array(weights, dtype=float)
     np.fill_diagonal(arr, 0.0)
-    if isinstance(weights, np.ndarray):
-        weights = weights.tolist()  # the rows once, for the re-sums below
     # Rounding is monotone, so a cycle's float sum is at most the float sum
     # of its nodes' positive maxima, which lies within gamma_{n-1} of its
     # exact value, as does the computed bound.  gamma_{4n} covers both and
@@ -187,13 +173,11 @@ def find_positive_cycle(weights: WeightMatrix, eps: float) -> Found | None:
     shift = eps / n
     if isinstance(weights, np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
-            cost = -(weights - shift)
-        np.fill_diagonal(cost, inf)  # no self-loops
-        cost = cost.tolist()
+            cost = (-(weights - shift)).tolist()
     else:
         cost = [[-(w - shift) for w in row] for row in weights]
-        for a in range(n):
-            cost[a][a] = inf  # no self-loops
+    for a in range(n):
+        cost[a][a] = inf  # no self-loops
     dist = [0.0] * n
     pred = [-1] * n
     # Rescanning a row whose distance has not moved since its last scan
@@ -232,13 +216,16 @@ def best_cycle_bruteforce(weights: WeightMatrix, eps: float) -> Found | None:
     """
     n = len(weights)
     _check_limit("cycle enumeration", n, _BRUTE_FORCE_LIMIT)
+    rows = [[float(w) for w in row] for row in weights]
     best: Found | None = None
     for size in range(2, n + 1):
         for nodes in combinations(range(n), size):
             head = nodes[0]
             for rest in permutations(nodes[1:]):
                 cycle = (head,) + rest
-                gain = _cycle_gain(weights, cycle)
+                gain = 0.0
+                for a, b in zip(cycle, rest + (head,)):
+                    gain += rows[a][b]
                 if gain > eps and (best is None or gain > best[1]):
                     best = (cycle, gain)
     return best

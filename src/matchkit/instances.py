@@ -218,15 +218,15 @@ class Matching:
 
 
 def _lex_search(
-    n: int, keep: Callable[[tuple[int, ...], int, list[int]], list[int]]
+    n: int, keep: Callable[[int, int, int, list[int]], list[int]]
 ) -> Iterator[tuple[int, ...]]:
     """Every assignment of n men, in lexicographic order, that forward
     checking through ``keep`` leaves.
 
-    Man k takes each woman left in his domain in ascending index; then
+    Man k takes each woman y left in his domain in ascending index; then
     each later man b, in ascending order, narrows his domain to
-    ``keep(prefix, b, women)``, the women he may still take beside
-    ``prefix`` (never its last couple's woman).  The first domain to
+    ``keep(k, y, b, women)``: of the women the earlier couples left him,
+    those he may take beside (k, y) (never y).  The first domain to
     empty backs the search off.
     """
 
@@ -234,15 +234,15 @@ def _lex_search(
         if not domains:
             yield prefix
             return
+        k = len(prefix)
         for y in domains[0]:
-            grown = prefix + (y,)
             narrowed = []
-            for b, women in enumerate(domains[1:], len(grown)):
-                narrowed.append(keep(grown, b, women))
+            for b, women in enumerate(domains[1:], k + 1):
+                narrowed.append(keep(k, y, b, women))
                 if not narrowed[-1]:
                     break
             else:
-                yield from extend(grown, narrowed)
+                yield from extend(prefix + (y,), narrowed)
 
     return extend((), [list(range(n))] * n)
 
@@ -251,7 +251,7 @@ def _check_unit_interval(name: str, value) -> None:
     """The one range guard on sharing levels: ``value`` must be an int or
     a float (not a bool) in [0, 1]; NaN fails the comparison."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {_shown(value)}")
+        raise DomainError(f"{name} must lie in [0, 1], got {_shown(value, repr)}")
 
 
 @dataclass(frozen=True)

@@ -128,9 +128,7 @@ def enumerate_fnt_stable(inst: Instance, *, eps: float = DEFAULT_EPS) -> list[Ma
     _check_limit("stable-set enumeration", n, ENUMERATION_LIMIT)
     theta_m, theta_w = tuple(inst.theta_m), tuple(inst.theta_w)  # as in find_fnt_blocking_pairs
 
-    def keep(prefix: tuple[int, ...], b: int, women: list[int]) -> list[int]:
-        k = len(prefix) - 1
-        wk = prefix[k]
+    def keep(k: int, wk: int, b: int, women: list[int]) -> list[int]:
         row_m, row_w, b_m, b_w = theta_m[k], theta_w[k], theta_m[b], theta_w[b]
         own, to_wk = row_m[wk], b_m[wk]
         wk_stays = b_w[wk] - row_w[wk] <= eps  # woman wk gains nothing from man b

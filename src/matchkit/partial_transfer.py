@@ -162,9 +162,7 @@ def exists_pq_stable(
     rows = theta_m + theta_w
     limit = eps + _settle_error(n, 4.0 * (max(map(max, rows)) - min(map(min, rows))), eps)
 
-    def keep(prefix: tuple[int, ...], b: int, women: list[int]) -> list[int]:
-        k = len(prefix) - 1
-        wk = prefix[k]
+    def keep(k: int, wk: int, b: int, women: list[int]) -> list[int]:
         row_m, row_w, b_m, b_w = theta_m[k], theta_w[k], theta_m[b], theta_w[b]
         base_m, b_to_wk = row_m[wk], b_m[wk]
         gb_back = b_w[wk] - row_w[wk]

@@ -31,6 +31,8 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
+        if type(seed) is not int:
+            seed = _check_integer("seed", seed)
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
@@ -71,6 +73,8 @@ def derive_seed(*parts: int) -> int:
     """Fold integers into a 64-bit child seed; order-sensitive."""
     acc = 0
     for part in parts:
+        if type(part) is not int:  # a plain int skips the rule: the sweep calls this per trial
+            part = _check_integer("seed part", part)
         acc = _mix64((acc ^ (part & _MASK64)) + _GAMMA & _MASK64)
     return acc
 

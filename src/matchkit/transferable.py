@@ -275,10 +275,10 @@ def dual_cuts(
     if not (
         bound <= eps or settled and np.abs(arr).max() <= 2.0**47 / n and (arr % 1 == 0).all()
     ):
-        found = find_positive_cycle(_pq_weights(arr, np.zeros_like(arr), assignment, 1.0, 1.0), eps)
-        if found is not None:
+        witness = is_cyclically_monotone(theta, matching, eps=eps)
+        if not witness:
             raise NotCyclicallyMonotoneError(
-                f"matching admits blocking chain {found[0]} with gain {found[1]}"
+                f"matching admits blocking chain {witness.cycle} with gain {witness.gain}"
             )
         if not settled:
             raise NotCyclicallyMonotoneError(_DIVERGED)

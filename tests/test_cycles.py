@@ -330,6 +330,35 @@ class TestArrayInput:
         assert any(n <= cycles._BRUTE_FORCE_LIMIT for n in enumerated)
 
 
+class TestBruteForceOnArrays:
+    """The enumerator reads an array as its float rows: the same cycle and
+    gain, a Python float, as from list rows."""
+
+    def test_array_and_list_rows_give_the_same_best_cycle(self):
+        rng = SplitMix64(derive_seed(91))
+        entries = EDGE_ENTRIES + (math.nan,)
+        found_any = signed_zeros = nans = 0
+        for n in range(2, 7):
+            for _ in range(30):
+                rows = [
+                    [
+                        entries[rng.randint(0, len(entries) - 1)]
+                        if rng.randint(0, 1) else rng.uniform01() - 0.5
+                        for _ in range(n)
+                    ]
+                    for _ in range(n)
+                ]
+                signed_zeros += sum(math.copysign(1.0, w) < 0 and w == 0 for r in rows for w in r)
+                nans += sum(math.isnan(w) for r in rows for w in r)
+                for eps in (EPS, 0.0):
+                    found = best_cycle_bruteforce(np.array(rows), eps)
+                    assert repr(found) == repr(best_cycle_bruteforce(rows, eps)), (rows, eps)
+                    if found is not None:
+                        assert type(found[1]) is float
+                        found_any += 1
+        assert found_any > 100 and signed_zeros > 10 and nans > 10
+
+
 class TestWitnessGainsArePythonFloats:
     """Whole-matching witnesses come from the weight array; their gains
     stay Python floats, as the CLI prints their repr."""

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from itertools import permutations
 from pathlib import Path
 from unittest import mock
 
@@ -46,6 +47,7 @@ from matchkit import (
     counterexample_instance,
     delta_q,
     delta_r,
+    derive_seed,
     dual_cuts,
     enumerate_fnt_stable,
     exists_pq_stable,
@@ -72,7 +74,8 @@ from matchkit import (
 )
 from matchkit.cycles import best_cycle_bruteforce
 from matchkit.instances import (
-    _coerce_matrix, _instance_from, _load_json, _matching_from, _shallow_utf8, _Table,
+    _coerce_matrix, _instance_from, _lex_search, _load_json, _matching_from, _shallow_utf8,
+    _Table,
 )
 
 from conftest import BOXED_THETA_M, BOXED_THETA_W, ranking_corpus
@@ -846,6 +849,21 @@ REFUSALS = {
         MalformedInputError,
         "seed must be an integer",
     ),
+    "derive_seed part=1.5": (
+        lambda: derive_seed(1, 1.5), MalformedInputError, "seed part must be an integer"
+    ),
+    "derive_seed part=True": (
+        lambda: derive_seed(True), MalformedInputError, "seed part must be an integer"
+    ),
+    "derive_seed part='1'": (
+        lambda: derive_seed("1", 2), MalformedInputError, "seed part must be an integer"
+    ),
+    "SplitMix64 seed=1.5": (
+        lambda: SplitMix64(1.5), MalformedInputError, "seed must be an integer"
+    ),
+    "SplitMix64 seed=True": (
+        lambda: SplitMix64(True), MalformedInputError, "seed must be an integer"
+    ),
     "mixed_instance_stream seed=1.5": (
         lambda: mixed_instance_stream(2, 1.5), MalformedInputError, "seed must be an integer"
     ),
@@ -1115,6 +1133,16 @@ class TestGuards:
         with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
             call(value)
 
+    @pytest.mark.parametrize(
+        "value, shown", [(np.int64(1), "np.int64(1)"), ("0.5", "'0.5'")], ids=repr
+    )
+    @pytest.mark.parametrize("guard", sorted(LEVEL_GUARDS))
+    def test_sharing_level_of_another_type_is_shown_by_repr(self, guard, value, shown):
+        name, call = LEVEL_GUARDS[guard]
+        text = f"{name} must lie in [0, 1], got {shown}"
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            call(value)
+
     @pytest.mark.parametrize("case", sorted(REFUSALS))
     def test_refused_with_named_error(self, case):
         call, error, text = REFUSALS[case]
@@ -1122,3 +1150,38 @@ class TestGuards:
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error and str(info.value) == text
+
+
+class TestSeedIntegerRule:
+    """Seeds and seed parts follow the integer rule: a numpy integer gives
+    the stream of the equal Python int."""
+
+    @pytest.mark.parametrize("kind", (np.int64, np.uint64, np.int8))
+    def test_numpy_integer_seeds_match_python_ints(self, kind):
+        for seed in (0, 3, 5, 100):
+            a, b = SplitMix64(kind(seed)), SplitMix64(seed)
+            assert [a.next_u64() for _ in range(4)] == [b.next_u64() for _ in range(4)]
+            assert derive_seed(kind(seed), 3) == derive_seed(seed, 3)
+            assert derive_seed(7, kind(seed)) == derive_seed(7, seed)
+        assert derive_seed(np.int64(-5)) == derive_seed(-5)
+
+
+class TestLexSearch:
+    """The forward-checking skeleton: each hook call names the couple just
+    placed, and a hook that strikes only its woman leaves every assignment."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_striking_the_placed_woman_yields_every_assignment_in_order(self, n):
+        prefix = []
+
+        def keep(k, y, b, women):
+            prefix[k:] = [y]  # the couple (k, y) was placed after men 0..k-1
+            assert k < b < n
+            assert women == [z for z in range(n) if z not in prefix[:k]]
+            return [z for z in women if z != y]
+
+        leaves = []
+        for leaf in _lex_search(n, keep):
+            assert tuple(prefix) == leaf[: n - 1]
+            leaves.append(leaf)
+        assert leaves == list(permutations(range(n)))
