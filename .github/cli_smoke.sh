@@ -47,9 +47,11 @@ step "$@" solve nt --instance "$work/inst.json" --out "$work/nt.json"
 step "$@" solve ft --instance "$work/inst.json" --out "$work/ft.json"
 step "$@" check --instance "$work/inst.json" --matching "$work/ft.json" --p 0 --q 0
 step "$@" check --instance "$work/inst.json" --matching "$work/nt.json" --p 0.5 --q 0.5
-# 60 couples: the chain checks run the detector past its enumeration limit.
+# 60 couples: the chain checks run the detector past its enumeration limit,
+# and solve nt checks each proposer's matching for blocking pairs.
 step "$@" gen --n 60 --seed 7 --out "$work/inst60.json"
 step "$@" solve nt --instance "$work/inst60.json" --out "$work/nt60.json"
+step "$@" solve nt --proposer women --instance "$work/inst60.json" --out "$work/nt60w.json"
 step "$@" check --instance "$work/inst60.json" --matching "$work/nt60.json" --p 1 --q 1
 step "$@" check --instance "$work/inst60.json" --matching "$work/nt60.json" --p 0.5 --q 0.5
 step "$@" core --model fnt --instance "$work/inst.json" --matching "$work/ft.json"
@@ -60,6 +62,8 @@ step "$@" sweep --n 8 --grid 3 --trials 4 --seed 1 --out "$work/sweep8.csv"
 big='[[1e308, 1e308], [1e308, 1e308]]'
 printf '{"n": 2, "theta_m": %s, "theta_w": %s}\n' "$big" "$big" > "$work/pooled.json"
 refuse 2 "error: theta[0][0] is not finite" "$@" solve ft --instance "$work/pooled.json"
+refuse 2 "error: p must lie in [0, 1], got 1.5" \
+  "$@" check --instance "$work/inst.json" --matching "$work/nt.json" --p 1.5 --q 0.5
 # Size limits: the existence oracle and the ft core search.
 refuse 3 "error: existence oracle limited to n <= 8, got 9" \
   "$@" sweep --n 9 --grid 3 --trials 1 --seed 1 --out "$work/sweep9.csv"

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .instances import (
     CutVector, Instance, Matching, Matrix, _check_count, _check_fits, _check_limit, _check_pair,
-    _coerce_matrix, _row_list,
+    _coerce_matrix,
 )
 from .rng import SplitMix64, _check_integer
 from .tolerance import DEFAULT_EPS, _check_tolerance
@@ -63,8 +63,7 @@ class BargainingModel:
         if self.kind == "ft_taxed":
             if self.beta is None:
                 raise PreconditionError('model "ft_taxed" requires a beta matrix')
-            beta = _row_list(self.beta, "beta")
-            beta = _coerce_matrix(beta, len(beta), "beta")
+            beta = _coerce_matrix(self.beta, None, "beta")
             for r, row in enumerate(beta):
                 for c, x in enumerate(row):
                     if not 0.0 < x <= 1.0:

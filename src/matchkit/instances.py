@@ -48,16 +48,6 @@ GENERATION_LIMIT = 2000  # random_instance holds 2n^2 Python floats at once
 _NOT_SEQUENCES = (str, bytes, dict)
 
 
-def _row_list(rows, name: str) -> list:
-    """``rows`` as a list; a value that is not a sequence of rows is refused."""
-    try:
-        if isinstance(rows, _NOT_SEQUENCES):
-            raise TypeError
-        return list(rows)
-    except TypeError:
-        raise MalformedInputError(f"{name} must be a list of rows") from None
-
-
 class _Table(tuple):
     """A validated n-by-n table of finite floats.  It compares, hashes,
     prints and pickles as its tuple of float tuples; ``array`` is its
@@ -73,13 +63,21 @@ class _Table(tuple):
         return _Table, (tuple(self),)
 
 
-def _coerce_matrix(rows, n: int, name: str) -> Matrix:
-    """Validate an n-by-n matrix of finite numbers; return it frozen, as a
-    ``_Table``.  A ``_Table`` of n rows is returned as it is."""
-    if isinstance(rows, _Table) and len(rows) == n:
+def _coerce_matrix(rows, n: int | None, name: str) -> Matrix:
+    """The one table entry: validate an n-by-n matrix of finite numbers, or
+    with ``n`` None a square one of its own row count; return it frozen,
+    as a ``_Table``.  A ``_Table`` of that size is returned as it is."""
+    if isinstance(rows, _Table) and n in (None, len(rows)):
         return rows
-    row_list = _row_list(rows, name)
-    if len(row_list) != n:
+    try:
+        if isinstance(rows, _NOT_SEQUENCES):
+            raise TypeError
+        row_list = list(rows)
+    except TypeError:
+        raise MalformedInputError(f"{name} must be a list of rows") from None
+    if n is None:
+        n = len(row_list)
+    elif len(row_list) != n:
         raise DimensionMismatchError(f"{name} must have {_shown(n)} rows, got {len(row_list)}")
     out = []
     for r, row in enumerate(row_list):
@@ -247,11 +245,13 @@ def _lex_search(
     return extend((), [list(range(n))] * n)
 
 
-def _check_unit_interval(name: str, value) -> None:
-    """The one range guard on sharing levels: ``value`` must be an int or
-    a float (not a bool) in [0, 1]; NaN fails the comparison."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+def _check_unit_interval(name: str, value) -> float:
+    """The one range guard on sharing levels: ``value``, a number of a type
+    a table takes (not a bool), in [0, 1], as a Python float; NaN fails the
+    comparison."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS) or not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {_shown(value, repr)}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -262,10 +262,8 @@ class PQParams:
     q: float
 
     def __post_init__(self):
-        _check_unit_interval("p", self.p)
-        _check_unit_interval("q", self.q)
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "p", _check_unit_interval("p", self.p))
+        object.__setattr__(self, "q", _check_unit_interval("q", self.q))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, _shown
 from .instances import Instance, Matching, _check_fits, _check_limit, _lex_search, preference_orders
 from .tolerance import DEFAULT_EPS, _check_tolerance
@@ -31,17 +33,14 @@ def find_fnt_blocking_pairs(
     """
     _check_tolerance(eps)
     _check_fits(inst.n, matching)
-    # a plain tuple: CPython's fast subscript takes tuple itself, not a subclass
-    theta_w, husbands = tuple(inst.theta_w), matching.inverse
-    pairs = []
-    for i, (row_m, row_w, wi) in enumerate(zip(inst.theta_m, theta_w, matching.assignment)):
-        own = row_m[wi]  # his gain with his own wife is exactly 0, and eps >= 0
-        pairs += [
-            (i, j)
-            for j, mj in enumerate(husbands)
-            if row_m[j] - own > eps and row_w[j] - theta_w[mj][j] > eps
-        ]
-    return pairs
+    m, w = inst.theta_m.array, inst.theta_w.array
+    couples = np.arange(inst.n)
+    with np.errstate(over="ignore"):  # an overflowing gain is inf, as in Python floats
+        # a man's gain with his own wife is exactly 0, and eps >= 0
+        mask = (m - m[couples, matching.assignment][:, None] > eps) & (
+            w - w[matching.inverse, couples] > eps
+        )
+    return list(map(tuple, np.argwhere(mask).tolist()))
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,8 @@ def enumerate_fnt_stable(inst: Instance, *, eps: float = DEFAULT_EPS) -> list[Ma
     _check_tolerance(eps)
     n = inst.n
     _check_limit("stable-set enumeration", n, ENUMERATION_LIMIT)
-    theta_m, theta_w = tuple(inst.theta_m), tuple(inst.theta_w)  # as in find_fnt_blocking_pairs
+    # plain tuples: CPython's fast subscript takes a tuple itself, not a subclass
+    theta_m, theta_w = tuple(inst.theta_m), tuple(inst.theta_w)
 
     def keep(k: int, wk: int, b: int, women: list[int]) -> list[int]:
         row_m, row_w, b_m, b_w = theta_m[k], theta_w[k], theta_m[b], theta_w[b]

@@ -36,7 +36,7 @@ InstanceStream = Callable[[float, float, int], Instance]
 
 def clip_p(x: float, p: float) -> float:
     """Keep gains, discount losses: x when x >= 0, else p*x."""
-    _check_unit_interval("p", p)
+    p = _check_unit_interval("p", p)
     return x if x >= 0.0 else p * x
 
 
@@ -50,7 +50,7 @@ def delta_q(inst: Instance, matching: Matching, i: int, j: int, q: float) -> flo
     after keeping only the q-fraction.  Courting one's own partner is
     exactly neutral.
     """
-    _check_unit_interval("q", q)
+    q = _check_unit_interval("q", q)
     _check_fits(inst.n, matching)
     i, j = _check_pair(inst.n, i, j)
     wi = matching.assignment[i]
@@ -66,7 +66,7 @@ def delta_r(a: float, b: float, r: float) -> float:
     At r=1 this is min(a, b); it decreases in r, and
     min(q*a + b, q*b + a) == (q+1) * delta_r(a, b, (1-q)/(1+q)).
     """
-    _check_unit_interval("r", r)
+    r = _check_unit_interval("r", r)
     return 0.5 * (a + b) - 0.5 * r * abs(a - b)
 
 
@@ -197,8 +197,8 @@ def counterexample_instance(p: float, q: float, *, eps: float = DEFAULT_EPS) -> 
     positive margin outright.
     """
     _check_tolerance(eps)
-    _check_unit_interval("p", p)
-    _check_unit_interval("q", q)
+    p = _check_unit_interval("p", p)
+    q = _check_unit_interval("q", q)
     if q - p <= 10.0 * eps:
         raise DomainError(f"counterexample requires q > p (got p={p}, q={q})")
     a = 1.0

@@ -22,9 +22,7 @@ import numpy as np
 
 from .cycles import _resum_error, find_positive_cycle, linear_sum_assignment
 from .errors import DimensionMismatchError, NotCyclicallyMonotoneError, PreconditionError
-from .instances import (
-    CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row, _row_list, _Table,
-)
+from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row
 from .partial_transfer import _pq_weights
 from .tolerance import DEFAULT_EPS, _check_tolerance, rounding_bound
 
@@ -47,12 +45,9 @@ class ChainWitness:
 
 
 def _square(theta, matching: Matching | None = None, cuts: CutVector | None = None) -> np.ndarray:
-    """``theta`` validated as a square float array, read-only; the matching
-    and the cuts, when given, must fit its size.  A ``_Table`` is already
-    validated."""
-    if not isinstance(theta, _Table):
-        rows = _row_list(theta, "theta")
-        theta = _coerce_matrix(rows, len(rows), "theta")
+    """``theta`` through the one table entry, as its cached float array,
+    read-only; the matching and the cuts, when given, must fit its size."""
+    theta = _coerce_matrix(theta, None, "theta")
     if not theta:
         raise DimensionMismatchError("theta must not be empty")
     if matching is not None:
@@ -203,10 +198,16 @@ def is_cyclically_monotone(
     violating cycle and its gain.
     """
     _check_tolerance(eps)
-    arr = _square(theta, matching)
-    chains = _pq_weights(arr, np.zeros_like(arr), matching.assignment, 1.0, 1.0)
+    witness = _blocking_chain(_square(theta, matching), matching.assignment, eps)
+    return True if witness is None else witness
+
+
+def _blocking_chain(arr: np.ndarray, assignment, eps: float) -> ChainWitness | None:
+    """The one ft chain check: a couple cycle of ``assignment`` whose
+    rotation gains more than eps on the validated table ``arr``, or None."""
+    chains = _pq_weights(arr, np.zeros_like(arr), assignment, 1.0, 1.0)
     found = find_positive_cycle(chains, eps)
-    return True if found is None else ChainWitness(*found)
+    return None if found is None else ChainWitness(*found)
 
 
 def chain_potentials(theta: Sequence[Sequence[float]], matching: Matching) -> list[float]:
@@ -275,8 +276,8 @@ def dual_cuts(
     if not (
         bound <= eps or settled and np.abs(arr).max() <= 2.0**47 / n and (arr % 1 == 0).all()
     ):
-        witness = is_cyclically_monotone(theta, matching, eps=eps)
-        if not witness:
+        witness = _blocking_chain(arr, assignment, eps)
+        if witness is not None:
             raise NotCyclicallyMonotoneError(
                 f"matching admits blocking chain {witness.cycle} with gain {witness.gain}"
             )

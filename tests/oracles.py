@@ -17,6 +17,10 @@ clarity wins over pivoting tricks.
 ``bruteforce_max_matching``: the maximum-total-reward matching by a scan
 of all n! assignments, against which ``optimal_assignment`` and the
 ``ft`` core search are checked.
+
+``fnt_blocking_pairs``: the blocking pairs of a whole matching by a Python
+loop over every pair, with the same float subtractions and ``> eps`` tests
+as ``find_fnt_blocking_pairs`` makes on the tables' arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from matchkit import Matching
+from matchkit import Instance, Matching
 from matchkit.transferable import _square
 
 ZERO = Fraction(0)
@@ -165,3 +169,17 @@ def bruteforce_max_matching(theta: Sequence[Sequence[float]]) -> tuple[Matching,
             best_value = value
             best_perm = perm
     return Matching(best_perm), best_value
+
+
+def fnt_blocking_pairs(inst: Instance, matching: Matching, eps: float) -> list[tuple[int, int]]:
+    """Oracle: every blocking pair (man, woman) in row-major order, pair by pair."""
+    theta_w, husbands = tuple(inst.theta_w), matching.inverse
+    pairs = []
+    for i, (row_m, row_w, wi) in enumerate(zip(inst.theta_m, theta_w, matching.assignment)):
+        own = row_m[wi]  # his gain with his own wife is exactly 0, and eps >= 0
+        pairs += [
+            (i, j)
+            for j, mj in enumerate(husbands)
+            if row_m[j] - own > eps and row_w[j] - theta_w[mj][j] > eps
+        ]
+    return pairs

@@ -1134,7 +1134,15 @@ class TestGuards:
             call(value)
 
     @pytest.mark.parametrize(
-        "value, shown", [(np.int64(1), "np.int64(1)"), ("0.5", "'0.5'")], ids=repr
+        "value, shown",
+        [
+            (np.int64(2), "np.int64(2)"),
+            (np.float32(1.5), "np.float32(1.5)"),
+            ("0.5", "'0.5'"),
+            (np.True_, "np.True_"),
+            (np.False_, "np.False_"),
+        ],
+        ids=repr,
     )
     @pytest.mark.parametrize("guard", sorted(LEVEL_GUARDS))
     def test_sharing_level_of_another_type_is_shown_by_repr(self, guard, value, shown):
@@ -1142,6 +1150,23 @@ class TestGuards:
         text = f"{name} must lie in [0, 1], got {shown}"
         with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
             call(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.int64(0), np.uint8(1), np.float64(0.25), np.float32(0.1), np.float16(0.5)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("guard", sorted(LEVEL_GUARDS))
+    def test_numpy_sharing_level_acts_as_the_equal_float(self, guard, value):
+        """Same value or same refusal, by repr, as the equal Python float."""
+
+        def outcome(level):
+            try:
+                return repr(LEVEL_GUARDS[guard][1](level))
+            except DomainError as exc:
+                return f"DomainError: {exc}"
+
+        assert outcome(value) == outcome(float(value))
 
     @pytest.mark.parametrize("case", sorted(REFUSALS))
     def test_refused_with_named_error(self, case):

@@ -22,6 +22,7 @@ from matchkit import (
 )
 
 from conftest import corpus_instance, near_indifferent_instance, random_matchings, ranking_corpus
+from oracles import fnt_blocking_pairs
 
 EPS = 1e-9
 
@@ -86,6 +87,30 @@ class TestBlockingPairs:
             for matching in random_matchings(inst.n, 3, derive_seed(72, inst.n)):
                 expected = reference_blocking_pairs(inst, matching.assignment, eps)
                 assert find_fnt_blocking_pairs(inst, matching, eps=eps) == expected, label
+
+    def test_equal_to_pair_by_pair_oracle(self):
+        """The array form against the loop, on ties, signed zeros and
+        rewards near the float limit whose gains overflow; warnings are
+        errors, so an overflow warning fails too."""
+        big = 1.7e308
+        edge = Instance(
+            3,
+            ((big, -big, 0.0), (-big, big, -0.0), (big, big, -big)),
+            ((-big, big, big), (big, -big, 0.0), (0.0, -big, big)),
+        )
+        for inst in (*ranking_corpus(), edge):
+            n = inst.n
+            matchings = (
+                gale_shapley(inst, "men"),
+                gale_shapley(inst, "women"),
+                Matching(tuple(range(n))),
+                Matching(tuple(reversed(range(n)))),
+            )
+            for matching in matchings:
+                for eps in (0.0, 1e-9, 0.5):
+                    pairs = find_fnt_blocking_pairs(inst, matching, eps=eps)
+                    assert pairs == fnt_blocking_pairs(inst, matching, eps), (inst, matching)
+                    assert all(type(i) is int and type(j) is int for i, j in pairs)
 
     def test_single_couple_never_blocks(self):
         inst = Instance(1, ((4,),), ((7,),))

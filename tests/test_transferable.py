@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import numpy as np
@@ -9,7 +10,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from matchkit import (
+    BargainingModel,
     CutVector,
+    DimensionMismatchError,
+    DomainError,
+    Instance,
     IntegerRange,
     MalformedInputError,
     Matching,
@@ -22,6 +27,7 @@ from matchkit import (
     combined_rewards,
     derive_seed,
     dual_cuts,
+    in_feasible_set,
     is_cyclically_monotone,
     optimal_assignment,
     random_instance,
@@ -537,6 +543,19 @@ class TestVerifyFtCore:
             assert verify_ft_core(theta, Matching(assignment), cuts)
 
 
+def coerced_rows(monkeypatch) -> list[str]:
+    """Record the table name of each row that ``instances._coerce_row`` checks."""
+    inner = instances._coerce_row
+    names = []
+
+    def counted(entries, name, r=None):
+        names.append(name)
+        return inner(entries, name, r)
+
+    monkeypatch.setattr(instances, "_coerce_row", counted)
+    return names
+
+
 class TestOneValidation:
     def test_pooled_table_is_validated_once(self, monkeypatch):
         inner = instances._coerce_row
@@ -560,6 +579,33 @@ class TestOneValidation:
         plain[0][1] = True
         with pytest.raises(MalformedInputError, match=r"^theta\[0\]\[1\] is not a number$"):
             optimal_assignment(plain)
+
+    def test_dual_cuts_validates_list_rows_once_on_a_blocked_matching(self, monkeypatch):
+        names = coerced_rows(monkeypatch)
+        theta = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(NotCyclicallyMonotoneError, match=r"^matching admits blocking chain"):
+            dual_cuts(theta, Matching((1, 0)))
+        assert names == ["theta"] * 2  # not once more for the witness
+
+    def test_bargaining_model_keeps_the_instances_beta(self, monkeypatch):
+        ones = ((1.0, 1.0), (1.0, 1.0))
+        inst = Instance(2, ones, ones, beta=((1.0, 0.5), (0.25, 1.0)))
+        names = coerced_rows(monkeypatch)
+        assert BargainingModel("ft_taxed", inst.beta).beta is inst.beta
+        assert names == []
+        # the range and size refusals read the same on a validated table
+        for beta, text in (
+            (((0.5, 1.5), (1.0, 1.0)), "beta[0][1]=1.5 must lie in (0, 1]"),
+            (((0.5, 5e-324), (1.0, 1.0)), "beta[0][1]=5e-324 is too small: 1/beta overflows"),
+        ):
+            with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+                BargainingModel("ft_taxed", Instance(2, ones, ones, beta=beta).beta)
+        ragged = ((1.0, 1.0), (1.0,))
+        with pytest.raises(DimensionMismatchError, match=r"^beta row 1 must have 2 entries, got 1$"):
+            BargainingModel("ft_taxed", ragged)
+        single = Instance(1, ((0.0,),), ((0.0,),), beta=((1.0,),))
+        with pytest.raises(DimensionMismatchError, match=r"^beta is 1x1, instance needs 2x2$"):
+            in_feasible_set(BargainingModel("ft_taxed", single.beta), inst, 0, 0, 0.0, 0.0)
 
 
 class TestCutOptimality:
