@@ -47,6 +47,9 @@ step "$@" solve nt --instance "$work/inst.json" --out "$work/nt.json"
 step "$@" solve ft --instance "$work/inst.json" --out "$work/ft.json"
 step "$@" check --instance "$work/inst.json" --matching "$work/ft.json" --p 0 --q 0
 step "$@" check --instance "$work/inst.json" --matching "$work/nt.json" --p 0.5 --q 0.5
+# Integer rewards at eps = 0: dual_cuts certifies on its exact integer path.
+step env MATCHKIT_EPS=0 "$@" solve ft --instance "$work/int.json" --out "$work/int_ft.json"
+step "$@" check --instance "$work/int.json" --matching "$work/int_ft.json" --p 0 --q 0
 # 60 couples: the chain checks run the detector past its enumeration limit,
 # and solve nt checks each proposer's matching for blocking pairs.
 step "$@" gen --n 60 --seed 7 --out "$work/inst60.json"
@@ -64,6 +67,8 @@ printf '{"n": 2, "theta_m": %s, "theta_w": %s}\n' "$big" "$big" > "$work/pooled.
 refuse 2 "error: theta[0][0] is not finite" "$@" solve ft --instance "$work/pooled.json"
 refuse 2 "error: p must lie in [0, 1], got 1.5" \
   "$@" check --instance "$work/inst.json" --matching "$work/nt.json" --p 1.5 --q 0.5
+refuse 2 "error: MATCHKIT_EPS must be a finite non-negative number" \
+  env MATCHKIT_EPS=nan "$@" solve ft --instance "$work/int.json"
 # Size limits: the existence oracle and the ft core search.
 refuse 3 "error: existence oracle limited to n <= 8, got 9" \
   "$@" sweep --n 9 --grid 3 --trials 1 --seed 1 --out "$work/sweep9.csv"

@@ -136,7 +136,7 @@ def in_feasible_set(
     eps: float = DEFAULT_EPS,
 ) -> bool:
     """Closed-set membership: can couple (i, j) guarantee cuts (u, v)?"""
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     i, j = _check_pair(inst.n, i, j)
     return _holds(model, inst, i, j, u, v, eps, strict=False)
 
@@ -156,7 +156,7 @@ def in_interior(
     The built-in sets are full-dimensional half-plane intersections, so
     all-strict equals the topological interior.
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     i, j = _check_pair(inst.n, i, j)
     return _holds(model, inst, i, j, u, v, eps, strict=True)
 
@@ -204,7 +204,7 @@ def check_assumption(
     *,
     eps: float = DEFAULT_EPS,
 ) -> AssumptionReport:
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     samples = _check_count("samples", samples, 1)
     seed = _check_integer("seed", seed)
     n = inst.n
@@ -250,7 +250,7 @@ def verify_core_point(
     Every matched pair must be able to guarantee its cuts, and no pair
     whatsoever may sit in the interior of its own feasibility set.
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     n = inst.n
     _check_fits(n, matching, cuts)
     for i in range(n):
@@ -408,7 +408,7 @@ def search_core(
     point out here (identity matching, theta_m = [[1, 1.0000000001],
     [1, 1]], theta_w = 0, "ft").
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     n = inst.n
     _check_fits(n, matching)
     _check_limit("core search", n, CORE_SEARCH_LIMIT)

@@ -57,7 +57,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .instances import _check_limit
-from .tolerance import rounding_bound
+from .tolerance import _check_tolerance, rounding_bound
 
 _BRUTE_FORCE_LIMIT = 10
 
@@ -167,6 +167,7 @@ def find_positive_cycle(weights: WeightMatrix, eps: float) -> Found | None:
     smallest node; consecutive entries (wrapping) are the edges, and
     gain is their float sum in that order.
     """
+    eps = _check_tolerance(eps)
     n = len(weights)
     if n < 2:
         return None
@@ -211,8 +212,8 @@ def find_positive_cycle(weights: WeightMatrix, eps: float) -> Found | None:
 def best_cycle_bruteforce(weights: WeightMatrix, eps: float) -> Found | None:
     """Exhaustive maximum over all simple directed cycles; oracle-grade.
 
-    Enumerates every cycle as (smallest node, permutation of the rest),
-    so each cycle is visited exactly once.  Guarded to small graphs.
+    Enumerates every cycle once, as (smallest node, permutation of the rest).
+    Guarded to small graphs; ``eps`` is not, so -inf finds the best cycle.
     """
     n = len(weights)
     _check_limit("cycle enumeration", n, _BRUTE_FORCE_LIMIT)

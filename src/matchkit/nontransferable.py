@@ -31,7 +31,7 @@ def find_fnt_blocking_pairs(
     theta_m[i][j] - theta_m[i][current woman] and
     theta_w[i][j] - theta_w[current man of j][j] exceed eps.
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     _check_fits(inst.n, matching)
     m, w = inst.theta_m.array, inst.theta_w.array
     couples = np.arange(inst.n)
@@ -122,7 +122,7 @@ def enumerate_fnt_stable(inst: Instance, *, eps: float = DEFAULT_EPS) -> list[Ma
     with a placed one, so the assignments it completes are exactly the
     stable ones.  Guarded to n <= 8.
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     n = inst.n
     _check_limit("stable-set enumeration", n, ENUMERATION_LIMIT)
     # plain tuples: CPython's fast subscript takes a tuple itself, not a subclass
@@ -161,7 +161,7 @@ class MenOptimalityReport:
 def verify_men_optimality(inst: Instance, *, eps: float = DEFAULT_EPS) -> MenOptimalityReport:
     """Check, by enumeration, that no stable matching beats men-proposing
     deferred acceptance for any man (rank measured in his derived list)."""
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     prefs = preference_orders(inst)
     if prefs.has_ties:
         return MenOptimalityReport(False, None, 0, "instance has tied rewards; not applicable")

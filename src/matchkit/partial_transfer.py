@@ -128,7 +128,7 @@ def find_pq_blocking_chain(
     a's man courting b's woman; a chain activates exactly when some
     simple cycle has positive clipped sum.
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     _check_fits(inst.n, matching)
     tables = inst.theta_m.array, inst.theta_w.array
     found = find_positive_cycle(_pq_weights(*tables, matching.assignment, pq.p, pq.q), eps)
@@ -149,7 +149,7 @@ def exists_pq_stable(
     woman z for which couples (k, y) and (b, z) form such a 2-cycle;
     only the complete matchings left go to the detector.
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     n = inst.n
     _check_limit("existence oracle", n, ORACLE_LIMIT)
     p, q = pq.p, pq.q
@@ -196,7 +196,7 @@ def counterexample_instance(p: float, q: float, *, eps: float = DEFAULT_EPS) -> 
     and the swapped matching breaks because both reverse hops have
     positive margin outright.
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     p = _check_unit_interval("p", p)
     q = _check_unit_interval("q", q)
     if q - p <= 10.0 * eps:
@@ -240,7 +240,7 @@ def pq_plane_sweep(
     existence.  Cells are independent work units; results are identical
     to sequential execution.
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     grid_steps = _check_count("grid_steps", grid_steps, 2)
     trials = _check_count("trials", trials, 1)
     cells = []
@@ -300,7 +300,7 @@ def check_pq_monotonicity(
     grid.  Each cell is one detector call, with no size guard: an 11 by 11
     grid takes about 0.2 s at n = 150.
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     grid_steps = _check_count("grid_steps", grid_steps, 2)
     _check_fits(inst.n, matching)
     tables = inst.theta_m.array, inst.theta_w.array

@@ -5,13 +5,18 @@ Every stability predicate in the package reads "x > 0" as x > eps and
 instances never come near the knife edge, so they exercise exact paths;
 float instances get reproducible verdicts.  The CLI may override the
 default through the MATCHKIT_EPS environment variable; library callers
-pass ``eps`` explicitly instead.
+pass ``eps`` explicitly instead.  Engines compare against the largest
+float not above it, which ``_check_tolerance`` returns.
 """
 
+import math
 import os
 import sys
 
+import numpy as np
+
 from .errors import DomainError
+from .instances import _NUMBERS
 
 DEFAULT_EPS = 1e-9
 
@@ -39,14 +44,18 @@ def resolve_eps() -> float:
         value = float(raw)
     except ValueError:
         raise DomainError(f"{_ENV_VAR} must be a number, got {raw!r}") from None
-    _check_tolerance(value, _ENV_VAR)
-    return value
+    return _check_tolerance(value, _ENV_VAR)
 
 
-def _check_tolerance(eps: float, name: str = "eps") -> None:
-    """The one tolerance guard, in every engine that takes ``eps``: an int or
-    a float, not a bool, from 0 to the largest float.  A NaN or infinite
-    tolerance makes every "exceeds eps" test fail, a negative one lets a
-    couple gain from itself, and a larger int overflows the float sums."""
-    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 <= eps <= _FLOAT_MAX:
+def _check_tolerance(eps: float, name: str = "eps") -> float:
+    """The one tolerance guard, in every engine that takes ``eps``: a number a
+    table entry takes, from 0 to the largest float, returned as the largest
+    float not above it (a float as it is).  A NaN or infinite tolerance makes
+    every "exceeds eps" test fail, a negative one lets a couple gain from
+    itself, and a larger int overflows the float sums."""
+    if isinstance(eps, np.generic):
+        eps = eps.item()  # a Python number, so the range test cannot overflow
+    if isinstance(eps, bool) or not isinstance(eps, _NUMBERS) or not 0 <= eps <= _FLOAT_MAX:
         raise DomainError(f"{name} must be a finite non-negative number")
+    value = float(eps)
+    return math.nextafter(value, 0.0) if value > eps else value

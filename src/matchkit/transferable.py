@@ -197,7 +197,7 @@ def is_cyclically_monotone(
     Otherwise returns a ChainWitness (which is falsy) carrying one
     violating cycle and its gain.
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     witness = _blocking_chain(_square(theta, matching), matching.assignment, eps)
     return True if witness is None else witness
 
@@ -249,7 +249,7 @@ def dual_cuts(
     reported as divergence.  Large rewards always run it, and so does
     ``eps`` = 0 unless the table holds small integers.
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     arr = _square(theta, matching)
     n = len(arr)
     assignment = np.asarray(matching.assignment)
@@ -294,7 +294,7 @@ def verify_ft_core(
     eps: float = DEFAULT_EPS,
 ) -> bool:
     """Exact split on matched pairs, no pair underpaid anywhere else."""
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     arr = _square(theta, matching, cuts)
     rows, cols = np.arange(len(arr)), np.asarray(matching.assignment)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -317,7 +317,7 @@ def check_optimality_of_cuts(
     The minimal feasible total equals the optimal assignment value, so
     the check compares against that within n*eps.
     """
-    _check_tolerance(eps)
+    eps = _check_tolerance(eps)
     arr = _square(theta, matching, cuts)
     under = np.argwhere(_underpaid(arr, cuts, eps))
     if under.size:

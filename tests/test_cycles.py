@@ -15,6 +15,7 @@ import matchkit.cli as cli
 import matchkit.cycles as cycles
 from matchkit import (
     CutVector,
+    DomainError,
     Instance,
     Matching,
     MatchkitError,
@@ -309,6 +310,17 @@ def weight_arrays():
         assignment = seeded_permutation(inst.n, rng)
         for p, q in CELLS:
             yield inst.n, _pq_weights(inst.theta_m.array, inst.theta_w.array, assignment, p, q)
+
+
+class TestToleranceGuard:
+    """The detector takes the engines' tolerance guard: a 2-cycle gaining 2
+    is not hidden behind a NaN or infinite eps, nor met by a negative one."""
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-9], ids=repr)
+    def test_refused_in_list_and_array_form(self, eps):
+        for weights in ([[0, 1], [1, 0]], np.array([[0.0, 1.0], [1.0, 0.0]])):
+            with pytest.raises(DomainError, match=r"^eps must be a finite non-negative number$"):
+                find_positive_cycle(weights, eps)
 
 
 class TestArrayInput:

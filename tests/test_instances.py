@@ -77,6 +77,7 @@ from matchkit.instances import (
     _coerce_matrix, _instance_from, _lex_search, _load_json, _matching_from, _shallow_utf8,
     _Table,
 )
+from matchkit.tolerance import _check_tolerance
 
 from conftest import BOXED_THETA_M, BOXED_THETA_W, ranking_corpus
 
@@ -1103,11 +1104,19 @@ class TestGuards:
     @pytest.mark.parametrize("engine", sorted(EPS_ENGINES))
     def test_tolerance_refused_unless_finite_and_non_negative(self, engine):
         call = EPS_ENGINES[engine]
-        for eps in (math.nan, math.inf, -math.inf, -1e-9, -0.5, 10**400, "1e-9", True):
+        for eps in (math.nan, math.inf, -math.inf, -1e-9, -0.5, 10**400, "1e-9", True, np.True_):
             with pytest.raises(DomainError, match=r"^eps must be a finite non-negative number$"):
                 call(eps)
         call(0.0)
         call(-0.0)
+
+    @pytest.mark.parametrize(
+        "value", [np.float32(1e-9), np.float64(1e-9), np.int64(0)], ids=repr
+    )
+    @pytest.mark.parametrize("engine", sorted(EPS_ENGINES))
+    def test_numpy_tolerance_acts_as_the_equal_float(self, engine, value):
+        call = EPS_ENGINES[engine]
+        assert repr(call(value)) == repr(call(float(value)))
 
     @pytest.mark.parametrize("engine", sorted(MATCHING_ENGINES))
     def test_wrong_size_matching(self, engine, boxed):
@@ -1175,6 +1184,39 @@ class TestGuards:
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error and str(info.value) == text
+
+
+class TestToleranceRule:
+    """The guard returns the largest float not above eps, so a float exceeds
+    the result exactly when it exceeds eps, an integer eps included."""
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.integers(0, int(sys.float_info.max)),
+            # integers within 2**20 of a float past 2**53, half of them below it
+            st.builds(
+                lambda f, d: int(f) + d, st.floats(2.0**53, 2.0**1000), st.integers(-(2**20), 2**20)
+            ),
+        ),
+        st.lists(st.floats(allow_nan=False), max_size=4),
+    )
+    def test_integer_becomes_the_largest_float_not_above_it(self, eps, xs):
+        result = _check_tolerance(eps)
+        assert type(result) is float and result <= eps
+        above = math.nextafter(result, math.inf)
+        assert above > eps
+        for x in (*xs, result, above, float(eps)):
+            assert (x > eps) == (x > result)
+
+    @settings(max_examples=300)
+    @given(st.floats(0.0, sys.float_info.max))
+    def test_float_comes_back_as_it_is(self, eps):
+        result = _check_tolerance(eps)
+        assert type(result) is float and result == eps
+
+    def test_negative_zero_is_kept(self):
+        assert math.copysign(1.0, _check_tolerance(-0.0)) == -1.0
 
 
 class TestSeedIntegerRule:

@@ -120,6 +120,21 @@ class TestBlockingPairs:
         inst = Instance(2, ((1, 1 + 1e-12), (0, 1)), ((1, 0), (1e-12, 1)))
         assert find_fnt_blocking_pairs(inst, Matching((0, 1))) == []
 
+    def test_integer_tolerance_beyond_floats_agrees_with_enumeration(self):
+        """eps = 2**53 + 3 is no float: both engines compare against
+        2**53 + 2, the largest float below it, so a gain of 2**53 + 4
+        blocks in the array mask as in the enumeration's loop."""
+        gain = 2.0**53 + 4
+        inst = Instance(2, ((0.0, gain), (gain, 0.0)), ((0.0, gain), (gain, 0.0)))
+        eps = 2**53 + 3
+        identity = Matching((0, 1))
+        assert find_fnt_blocking_pairs(inst, identity, eps=eps) == [(0, 1), (1, 0)]
+        stable = enumerate_fnt_stable(inst, eps=eps)
+        assert [m.assignment for m in stable] == [(1, 0)]
+        for matching in (identity, Matching((1, 0))):
+            blocked = find_fnt_blocking_pairs(inst, matching, eps=eps) != []
+            assert blocked == (matching not in stable)
+
 
 class TestGaleShapley:
     def test_boxed_single_round(self, boxed):
