@@ -7,7 +7,8 @@
 #   bash .github/cli_smoke.sh python -m matchkit.cli # the module
 #
 # Exits 1 at the first command whose exit code is not 0, or 1 with an
-# "unstable" verdict ("stable: no", "core-valid: no"), and at the first
+# "unstable" verdict ("stable: no", "core-valid: no"), at the first check
+# expected stable that does not answer "stable: yes", and at the first
 # refusal step that does not exit with its expected code and error line.
 set -u
 if [ "$#" -eq 0 ]; then
@@ -25,6 +26,17 @@ step() {
   fi
   if [ "$code" -ne 0 ]; then
     echo "exit $code" >&2
+    exit 1
+  fi
+}
+
+# A check that must answer "stable: yes" with exit code 0.
+stable() {
+  local out code=0
+  out=$("$@" 2>&1) || code=$?
+  printf '$ %s\n%s\n' "$*" "$out"
+  if [ "$code" -ne 0 ] || ! grep -q '^stable: yes$' <<<"$out"; then
+    echo "exit $code, expected stable: yes" >&2
     exit 1
   fi
 }
@@ -57,6 +69,12 @@ step "$@" solve nt --instance "$work/inst60.json" --out "$work/nt60.json"
 step "$@" solve nt --proposer women --instance "$work/inst60.json" --out "$work/nt60w.json"
 step "$@" check --instance "$work/inst60.json" --matching "$work/nt60.json" --p 1 --q 1
 step "$@" check --instance "$work/inst60.json" --matching "$work/nt60.json" --p 0.5 --q 0.5
+# An ft-optimal matching admits no blocking chain, so it is (1, 1)-stable.
+step "$@" gen --n 60 --seed 7 --dist int:0:9 --out "$work/int60.json"
+step "$@" solve ft --instance "$work/inst60.json" --out "$work/ft60.json"
+step "$@" solve ft --instance "$work/int60.json" --out "$work/int_ft60.json"
+stable "$@" check --instance "$work/inst60.json" --matching "$work/ft60.json" --p 1 --q 1
+stable "$@" check --instance "$work/int60.json" --matching "$work/int_ft60.json" --p 1 --q 1
 step "$@" core --model fnt --instance "$work/inst.json" --matching "$work/ft.json"
 step "$@" counterexample --p 0.2 --q 0.8 --out "$work/ce.json"
 step "$@" sweep --n 3 --grid 3 --trials 2 --seed 1 --out "$work/sweep.csv"

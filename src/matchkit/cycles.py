@@ -45,7 +45,8 @@ answers it in three stages.
 
 The shortest-path potentials behind the dual cuts and the
 optimal-assignment tie-break are not computed here: they come from the
-vectorized relaxation in ``transferable._chain_distances``.
+vectorized relaxation in ``transferable._chain_distances``, run once per
+validated table and assignment, so the cuts continue the tie-break's run.
 """
 
 from __future__ import annotations

@@ -51,7 +51,11 @@ _NOT_SEQUENCES = (str, bytes, dict)
 class _Table(tuple):
     """A validated n-by-n table of finite floats.  It compares, hashes,
     prints and pickles as its tuple of float tuples; ``array`` is its
-    float64 array, built on first use, read-only, and kept."""
+    float64 array, built on first use (``combined_rewards`` hands over its
+    sum instead), read-only, and kept.  ``chain_run`` is the last chain
+    relaxation ``transferable`` ran on it, or None; it is not pickled."""
+
+    chain_run = None
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -329,16 +333,19 @@ class PreferenceProfile:
 
 
 def combined_rewards(inst: Instance) -> Matrix:
-    """Pooled reward table: entrywise sum of the two sides' tables.  When
-    every sum is finite it is a validated ``_Table``; an overflowing one
-    stays a plain tuple, for the engines to refuse."""
-    pooled = tuple(
-        tuple(tm + tw for tm, tw in zip(row_m, row_w))
-        for row_m, row_w in zip(inst.theta_m, inst.theta_w)
-    )
-    # a row's sum can overflow on finite terms: only then test each term
-    finite = all(math.isfinite(sum(row)) or all(map(math.isfinite, row)) for row in pooled)
-    return _Table(pooled) if finite else pooled
+    """Pooled reward table: entrywise sum of the two sides' tables, the
+    same IEEE add as Python's on each entry.  When every sum is finite it
+    is a validated ``_Table`` holding that sum as its array; an
+    overflowing one stays a plain tuple, for the engines to refuse."""
+    with np.errstate(over="ignore"):
+        pooled = inst.theta_m.array + inst.theta_w.array
+    rows = tuple(map(tuple, pooled.tolist()))
+    if not np.isfinite(pooled).all():
+        return rows
+    table = _Table(rows)
+    pooled.flags.writeable = False
+    table.__dict__["array"] = pooled  # where cached_property keeps its value
+    return table
 
 
 def preference_orders(inst: Instance) -> PreferenceProfile:

@@ -15,14 +15,16 @@ could hide a chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from fractions import Fraction
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .cycles import _resum_error, find_positive_cycle, linear_sum_assignment
 from .errors import DimensionMismatchError, NotCyclicallyMonotoneError, PreconditionError
-from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row
+from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row, _Table
 from .partial_transfer import _pq_weights
 from .tolerance import DEFAULT_EPS, _check_tolerance, rounding_bound
 
@@ -44,15 +46,25 @@ class ChainWitness:
         return False
 
 
-def _square(theta, matching: Matching | None = None, cuts: CutVector | None = None) -> np.ndarray:
-    """``theta`` through the one table entry, as its cached float array,
-    read-only; the matching and the cuts, when given, must fit its size."""
+class _ChainRun(NamedTuple):
+    """A table's last chain relaxation: its assignment, the last iterate,
+    the passes run, and whether the last of them changed nothing."""
+
+    assignment: list[int]
+    dist: np.ndarray
+    passes: int
+    settled: bool
+
+
+def _square(theta, matching: Matching | None = None, cuts: CutVector | None = None) -> _Table:
+    """``theta`` through the one table entry, as a ``_Table``; the matching
+    and the cuts, when given, must fit its size."""
     theta = _coerce_matrix(theta, None, "theta")
     if not theta:
         raise DimensionMismatchError("theta must not be empty")
     if matching is not None:
         _check_fits(len(theta), matching, cuts)
-    return theta.array
+    return theta
 
 
 def _underpaid(arr: np.ndarray, cuts: CutVector, eps: float) -> np.ndarray:
@@ -79,16 +91,17 @@ def optimal_assignment(theta: Sequence[Sequence[float]]) -> tuple[Matching, floa
     return _optimal_assignment(_square(theta))
 
 
-def _optimal_assignment(arr: np.ndarray) -> tuple[Matching, float]:
-    """``optimal_assignment`` on an array ``_square`` has validated."""
+def _optimal_assignment(table: _Table) -> tuple[Matching, float]:
+    """``optimal_assignment`` on a table ``_square`` has validated."""
+    arr = table.array
     _, cols = linear_sum_assignment(arr, maximize=True)
-    chosen = _lex_first_perfect_matching(_tight_edges(arr, cols), cols.tolist())
+    chosen = _lex_first_perfect_matching(_tight_edges(table, cols), cols.tolist())
     # Python floats summed left to right: the CLI prints this value's repr
     return Matching(tuple(chosen)), sum(arr[np.arange(len(arr)), chosen].tolist())
 
 
 def _chain_distances(
-    arr: np.ndarray, assignment: np.ndarray, max_passes: int
+    table: _Table, assignment: np.ndarray, max_passes: int
 ) -> tuple[np.ndarray, bool]:
     """All-sources shortest chains over the hop costs of ``chain_potentials``,
     own[s] - arr[t, assignment[s]] from couple s to couple t.
@@ -97,33 +110,52 @@ def _chain_distances(
     once, ``dist[t] = min_s dist[s] + cost[s, t]``.  ``settled`` is True
     when a pass changed nothing within ``max_passes`` passes, and False
     when relaxation was still improving (a negative cycle, or one lost in
-    rounding); ``dist`` is the last iterate either way.  Rewards near the
-    float limit can overflow to inf or nan, left to the callers; a pass
-    leaves -inf and nan in place, so such distances can settle too.
+    rounding); ``dist`` is the last iterate either way, read-only.
+    Rewards near the float limit can overflow to inf or nan, left to the
+    callers; a pass leaves -inf and nan in place, so such distances can
+    settle too.
 
-    The cycle detector keeps its own row-skipping loop (CPython 3.11,
-    numpy 2.4, 2 cores): that loop here gives identical cuts but takes
-    ``dual_cuts`` from 0.48 to 0.83 ms at n = 50 and 3.2 to 6.9 ms at
-    n = 150, ``optimal_assignment`` from 5.3 to 8.9 ms at n = 150.  This
-    one on the array-fed detector's chain weights, uniform tables: where a
-    chain gains (deferred acceptance at (1, 1)), 0.058 against 0.016 ms at
-    n = 8 and 5.4 against 1.3 ms at n = 150, as the detector stops at its
-    first gaining parent cycle; where none does (the optimal assignment),
-    0.029 against 0.018 ms at n = 8 but 0.7-1.1 against 3.8-5.1 ms at 150.
+    The run is kept as the table's ``chain_run``, so the cuts continue
+    the tie-break's run.  A later call on the same table and assignment
+    returns the kept run as it is when it settled within the call's
+    ``max_passes`` or ran exactly that many passes, and resumes it when
+    it is unsettled after fewer.  A pass depends on the last iterate
+    alone, so either gives the bits a fresh run gives.  Any other call
+    runs afresh and replaces the kept run.  A kept run is an immutable
+    record, so threads sharing a table get these bits whichever run it
+    keeps.
     """
+    arr = table.array
+    key = assignment.tolist()
+    run = table.chain_run
+    if run is None or run.assignment != key or run.passes > max_passes:
+        dist, passes = np.zeros(arr.shape[0]), 0
+    elif run.settled or run.passes == max_passes:
+        return run.dist, run.settled
+    else:
+        dist, passes = run.dist, run.passes
     own = arr[np.arange(arr.shape[0]), assignment]
-    dist = np.zeros(arr.shape[0])
+    settled = False
     with np.errstate(over="ignore", invalid="ignore"):
         cost = own[:, None] - arr[:, assignment].T
-        for _ in range(max_passes):
-            nxt = np.min(dist[:, None] + cost, axis=0)
+        while passes < max_passes:
+            nxt = _relax(dist, cost)
+            passes += 1
             if not (nxt < dist).any():
-                return dist, True
+                settled = True
+                break
             dist = nxt
-    return dist, False
+    dist.flags.writeable = False
+    table.chain_run = _ChainRun(key, dist, passes, settled)
+    return dist, settled
 
 
-def _tight_edges(arr: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+def _relax(dist: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """One pass of ``_chain_distances``: every hop relaxed at once."""
+    return np.min(dist[:, None] + cost, axis=0)
+
+
+def _tight_edges(table: _Table, assignment: np.ndarray) -> np.ndarray:
     """Mask of pairs whose dual slack is zero up to rounding.
 
     The potentials are chain potentials over ``assignment``, so the
@@ -132,10 +164,11 @@ def _tight_edges(arr: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     nan here, which leaves those pairs out of the mask but never the
     assignment's own.
     """
+    arr = table.array
     n = arr.shape[0]
     rows = np.arange(n)
     own = arr[rows, assignment]
-    dist, _ = _chain_distances(arr, assignment, n + 1)
+    dist, _ = _chain_distances(table, assignment, n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         u = -dist
         v = np.empty(n)
@@ -160,8 +193,9 @@ def _lex_first_perfect_matching(tight: np.ndarray, assignment: list[int]) -> lis
     not change it.
     """
     n = len(assignment)
-    rows, cols = np.nonzero(tight)
-    cols_of = [c.tolist() for c in np.split(cols, np.flatnonzero(np.diff(rows)) + 1)]
+    cols = np.nonzero(tight)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(tight, axis=1)).tolist()
+    cols_of = [cols[start:end] for start, end in zip([0] + ends, ends)]
     match = list(assignment)
     owner = np.argsort(assignment).tolist()
     for i in range(n):
@@ -198,7 +232,7 @@ def is_cyclically_monotone(
     violating cycle and its gain.
     """
     eps = _check_tolerance(eps)
-    witness = _blocking_chain(_square(theta, matching), matching.assignment, eps)
+    witness = _blocking_chain(_square(theta, matching).array, matching.assignment, eps)
     return True if witness is None else witness
 
 
@@ -224,8 +258,8 @@ def chain_potentials(theta: Sequence[Sequence[float]], matching: Matching) -> li
     NonFiniteEntryError, from CutVector's entry check, when it settles
     on a potential beyond the float range.
     """
-    arr = _square(theta, matching)
-    dist, settled = _chain_distances(arr, np.asarray(matching.assignment), 4 * len(arr))
+    table = _square(theta, matching)
+    dist, settled = _chain_distances(table, np.asarray(matching.assignment), 4 * len(table))
     if not settled:
         raise NotCyclicallyMonotoneError(_DIVERGED)
     return list(_coerce_row(tuple((-dist).tolist()), "u"))
@@ -250,10 +284,11 @@ def dual_cuts(
     ``eps`` = 0 unless the table holds small integers.
     """
     eps = _check_tolerance(eps)
-    arr = _square(theta, matching)
+    table = _square(theta, matching)
+    arr = table.array
     n = len(arr)
     assignment = np.asarray(matching.assignment)
-    dist, settled = _chain_distances(arr, assignment, 4 * n)
+    dist, settled = _chain_distances(table, assignment, 4 * n)
     v = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         u = -dist
@@ -295,7 +330,7 @@ def verify_ft_core(
 ) -> bool:
     """Exact split on matched pairs, no pair underpaid anywhere else."""
     eps = _check_tolerance(eps)
-    arr = _square(theta, matching, cuts)
+    arr = _square(theta, matching, cuts).array
     rows, cols = np.arange(len(arr)), np.asarray(matching.assignment)
     with np.errstate(over="ignore", invalid="ignore"):
         slack = np.array(cuts.u) + np.array(cuts.v)[cols] - arr[rows, cols]
@@ -315,10 +350,13 @@ def check_optimality_of_cuts(
     pair's reward (the matched-equality part of verify_ft_core is not
     required: feasible-but-loose cuts are legal input and yield False).
     The minimal feasible total equals the optimal assignment value, so
-    the check compares against that within n*eps.
+    the check compares against that within n*eps.  When either total
+    overflows, the comparison is made exactly, in fractions, over the
+    cuts and the optimal matching's rewards.
     """
     eps = _check_tolerance(eps)
-    arr = _square(theta, matching, cuts)
+    table = _square(theta, matching, cuts)
+    arr = table.array
     under = np.argwhere(_underpaid(arr, cuts, eps))
     if under.size:
         i, j = under[0].tolist()
@@ -326,5 +364,11 @@ def check_optimality_of_cuts(
             f"cuts are infeasible: u[{i}]+v[{j}] = {cuts.u[i] + cuts.v[j]} "
             f"< theta = {float(arr[i, j])}"
         )
-    _, best = _optimal_assignment(arr)
-    return abs(cuts.total() - best) <= max(len(arr), 1) * eps
+    n = len(arr)
+    best_matching, best = _optimal_assignment(table)
+    total = cuts.total()
+    if math.isfinite(total) and math.isfinite(best):
+        return abs(total - best) <= n * eps
+    exact_total = sum(map(Fraction, cuts.u + cuts.v))
+    exact_best = sum(Fraction(table[i][j]) for i, j in enumerate(best_matching.assignment))
+    return abs(exact_total - exact_best) <= n * Fraction(eps)

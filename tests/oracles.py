@@ -159,7 +159,7 @@ def satisfies(point: Sequence[Fraction], constraints: Sequence[Constraint]) -> b
 
 def bruteforce_max_matching(theta: Sequence[Sequence[float]]) -> tuple[Matching, float]:
     """Oracle: maximum over all n! assignments by direct enumeration."""
-    mat = _square(theta).tolist()
+    mat = _square(theta).array.tolist()
     n = len(mat)
     best_perm = None
     best_value = -float("inf")

@@ -104,6 +104,26 @@ def reference_preference_orders(inst):
     return PreferenceProfile(tuple(men), tuple(women), has_ties)
 
 
+def python_pooling(inst):
+    """The pooled table by Python float adds, entry by entry."""
+    return tuple(
+        tuple(tm + tw for tm, tw in zip(row_m, row_w))
+        for row_m, row_w in zip(inst.theta_m, inst.theta_w)
+    )
+
+
+# Sums that round, cancel, underflow or overflow.
+POOLING_EDGES = (
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, 1.7e308,
+    -1.7e308, 1e308, -1e308, 0.1, 0.2,
+)
+
+
+def pooling_table(n):
+    entry = st.one_of(st.sampled_from(POOLING_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+    return st.tuples(*[st.tuples(*[entry] * n)] * n)
+
+
 class TestCombinedRewards:
     def test_boxed_example(self, boxed):
         assert combined_rewards(boxed) == ((2.0, 5.0), (0.0, 2.0))
@@ -119,6 +139,42 @@ class TestCombinedRewards:
     def test_symmetric_in_summands(self, boxed):
         swapped = Instance(2, boxed.theta_w, boxed.theta_m)
         assert combined_rewards(boxed) == combined_rewards(swapped)
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(pooling_table(n), pooling_table(n))))
+    def test_bit_identical_to_python_pooling(self, sides):
+        inst = Instance(len(sides[0]), *sides)
+        pooled = combined_rewards(inst)
+        expected = python_pooling(inst)
+        assert repr(pooled) == repr(expected)
+        if all(map(math.isfinite, sum(expected, ()))):
+            arr = pooled.array
+            assert type(pooled) is _Table and pooled.array is arr
+            assert arr.tobytes() == np.array(expected).tobytes()
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        else:
+            assert type(pooled) is tuple
+            r, c = next((r, c) for r, row in enumerate(expected) for c, x in enumerate(row)
+                        if not math.isfinite(x))
+            with pytest.raises(NonFiniteEntryError, match=rf"^theta\[{r}\]\[{c}\] is not finite$"):
+                optimal_assignment(pooled)
+
+    def test_signed_zeros_subnormals_and_the_float_limit(self):
+        cases = (
+            (-0.0, -0.0, "-0.0"),
+            (0.0, -0.0, "0.0"),
+            (5e-324, -0.0, "5e-324"),
+            (5e-324, 5e-324, "1e-323"),
+            (2.2250738585072014e-308, -5e-324, "2.225073858507201e-308"),
+            (1.7e308, -1.7e308, "0.0"),
+        )
+        for tm, tw, text in cases:
+            pooled = combined_rewards(Instance(1, ((tm,),), ((tw,),)))
+            assert type(pooled) is _Table and repr(pooled[0][0]) == text
+            assert repr(pooled.array[0, 0].item()) == text
+        pooled = combined_rewards(Instance(1, ((1e308,),), ((1e308,),)))
+        assert type(pooled) is tuple and pooled == ((math.inf,),)
 
 
 # Entries at the edges of what a validated table holds.

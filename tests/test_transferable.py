@@ -196,7 +196,7 @@ class TestOneSolveTieBreak:
             else:
                 arr = np.array(random_instance(n, rng.next_u64(), dist).theta_m)
             _, cols = linear_sum_assignment(arr, maximize=True)
-            tight = transferable._tight_edges(arr, cols)
+            tight = transferable._tight_edges(transferable._square(arr), cols)
             expected = list(lex_first_by_matching_oracle(tight))
             assert transferable._lex_first_perfect_matching(tight, cols.tolist()) == expected
 
@@ -302,6 +302,28 @@ class TestDualCuts:
         dual_cuts(theta, matching)
         assert calls == {"detector": 0, "relaxation": 1}
 
+    def test_cuts_after_the_solve_make_no_pass(self, monkeypatch):
+        # The tie-break's relaxation of a tie-free table settles within its
+        # n + 1 passes on the matching returned, so the cuts reuse it.
+        theta = combined_rewards(random_instance(50, derive_seed(32, 1)))
+        passes = []
+        inner = transferable._relax
+
+        def counted(dist, cost):
+            passes.append(len(dist))
+            return inner(dist, cost)
+
+        monkeypatch.setattr(transferable, "_relax", counted)
+        matching, _ = optimal_assignment(theta)
+        assert 0 < len(passes) <= 51
+        _, cols = linear_sum_assignment(np.array(theta), maximize=True)
+        assert matching.assignment == tuple(cols.tolist())
+        passes.clear()
+        cuts = dual_cuts(theta, matching)
+        assert passes == []
+        assert cuts == dual_cuts([list(row) for row in theta], matching)
+        assert len(passes) > 0  # list rows get a table of their own
+
     @pytest.mark.parametrize("n", [5, 40, 150])
     def test_zero_eps_integer_tables_skip_the_detector(self, monkeypatch, n):
         # Integer sums below 2**53 are exact, so eps = 0 needs no rounding term.
@@ -319,7 +341,7 @@ class TestDualCuts:
         for n, theta in additive_tables(1.0):
             matching, _ = optimal_assignment(theta)
             _, settled = transferable._chain_distances(
-                np.asarray(theta), np.asarray(matching.assignment), 4 * n
+                transferable._square(theta), np.asarray(matching.assignment), 4 * n
             )
             unsettled += not settled
             assert verify_ft_core(theta, matching, dual_cuts(theta, matching))
@@ -525,6 +547,85 @@ class TestChainPotentialsReference:
             dual_cuts(theta, Matching((0, 1)))
 
 
+def shared_run_instances():
+    """(kind, instance) for seeded instances at n = 2 to 40 whose pooled
+    tables are uniform, small integers, additive (every assignment ties,
+    and many relaxations are unsettled after n + 1 passes) or uniform
+    scaled by 1e8; the last two pool with a zero women's table."""
+    for n in (2, 3, 5, 8, 13, 21, 40):
+        zeros = ((0.0,) * n,) * n
+        for seed in range(4):
+            rng = SplitMix64(derive_seed(88, n, seed))
+            uniform = random_instance(n, rng.next_u64())
+            yield "uniform", uniform
+            yield "integer", random_instance(n, rng.next_u64(), IntegerRange(0, 3))
+            a = [rng.uniform01() for _ in range(n)]
+            b = [rng.uniform01() for _ in range(n)]
+            yield "additive", Instance(n, tuple(tuple(x + y for y in b) for x in a), zeros)
+            scaled = tuple(tuple(1e8 * x for x in row) for row in combined_rewards(uniform))
+            yield "1e8", Instance(n, scaled, zeros)
+
+
+def ft_outcomes(theta, other, solve_first):
+    """repr of each result, or the error text, of the ft calls on ``theta``
+    in an order that shares, resumes and replaces chain runs: the solve and
+    ``other`` (a second matching) take turns, the cuts come before and
+    after the solve, ``chain_potentials`` follows ``dual_cuts``, and the
+    solve's n + 1 passes follow their 4n."""
+    outcomes = []
+
+    def record(call, *args):
+        try:
+            result = call(theta, *args)
+        except MatchkitError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+            return None
+        outcomes.append(repr(result))
+        return result
+
+    if not solve_first:
+        record(dual_cuts, other)
+    matching, _ = record(optimal_assignment)
+    for m in (other, matching, other, matching):
+        cuts = record(dual_cuts, m)
+        record(chain_potentials, m)
+        if cuts is not None:
+            record(verify_ft_core, m, cuts)
+            record(check_optimality_of_cuts, m, cuts)
+    record(optimal_assignment)
+    return outcomes
+
+
+class TestSharedChainRun:
+    def test_shared_run_equals_fresh_runs(self):
+        resumed = 0
+        for kind, inst in shared_run_instances():
+            n = inst.n
+            lists = [list(row) for row in combined_rewards(inst)]
+            _, cols = linear_sum_assignment(np.array(lists), maximize=True)
+            # the solve leaves this run unsettled, and the cuts on cols resume it
+            _, settled = transferable._chain_distances(combined_rewards(inst), cols, n + 1)
+            resumed += not settled
+            for other in (Matching(tuple(cols.tolist())), Matching(tuple(range(n))[::-1])):
+                for solve_first in (True, False):
+                    shared = ft_outcomes(combined_rewards(inst), other, solve_first)
+                    fresh = ft_outcomes(lists, other, solve_first)
+                    assert shared == fresh, (kind, n, other, solve_first)
+        assert resumed >= 10
+
+    def test_fewer_passes_after_more_equal_a_fresh_run(self):
+        for kind, inst in shared_run_instances():
+            if inst.n != 21 or kind not in ("uniform", "additive"):
+                continue
+            n = inst.n
+            table = combined_rewards(inst)
+            assignment = np.asarray(optimal_assignment(table)[0].assignment)
+            for limit in (4 * n, *range(1, n + 2), 4 * n):
+                dist, settled = transferable._chain_distances(table, assignment, limit)
+                fresh = transferable._chain_distances(combined_rewards(inst), assignment, limit)
+                assert (dist.tobytes(), settled) == (fresh[0].tobytes(), fresh[1]), (kind, limit)
+
+
 class TestVerifyFtCore:
     def test_boxed_dual_cuts_pass(self, swap2):
         cuts = dual_cuts(BOXED_THETA, swap2)
@@ -627,6 +728,15 @@ class TestCutOptimality:
         theta = ((3.0,),)
         matching = Matching((0,))
         assert check_optimality_of_cuts(theta, matching, dual_cuts(theta, matching))
+
+    def test_overflowing_totals_compared_exactly(self, identity2):
+        # Both totals overflow to inf; in floats their difference is nan.
+        theta = ((1e308, 0.0), (0.0, 1e308))
+        cuts = dual_cuts(theta, identity2)
+        assert verify_ft_core(theta, identity2, cuts)
+        assert check_optimality_of_cuts(theta, identity2, cuts) is True
+        loose = CutVector((1e308, 1e308), (0.0, 0.0))
+        assert check_optimality_of_cuts(((1.0, 0.0), (0.0, 1.0)), identity2, loose) is False
 
 
 class TestThreeWayEquivalence:
