@@ -76,6 +76,17 @@ step "$@" solve ft --instance "$work/int60.json" --out "$work/int_ft60.json"
 stable "$@" check --instance "$work/inst60.json" --matching "$work/ft60.json" --p 1 --q 1
 stable "$@" check --instance "$work/int60.json" --matching "$work/int_ft60.json" --p 1 --q 1
 step "$@" core --model fnt --instance "$work/inst.json" --matching "$work/ft.json"
+# The exact core search, on 2 couples, for each family that runs it; the taxed
+# family reads its beta table from the instance.
+step "$@" gen --n 2 --seed 7 --out "$work/inst2.json"
+step "$@" solve ft --instance "$work/inst2.json" --out "$work/ft2.json"
+for model in ft ft_nonneg ft_m2w; do
+  step "$@" core --model "$model" --instance "$work/inst2.json" --matching "$work/ft2.json"
+done
+printf '{"n": 2, "theta_m": %s, "theta_w": %s, "beta": %s}\n' \
+  '[[0.5, 1.0], [0.25, 0.75]]' '[[1.0, 0.5], [0.5, 1.0]]' '[[0.5, 1.0], [0.75, 0.5]]' \
+  > "$work/taxed.json"
+step "$@" core --model ft_taxed --instance "$work/taxed.json" --matching "$work/ft2.json"
 step "$@" counterexample --p 0.2 --q 0.8 --out "$work/ce.json"
 step "$@" sweep --n 3 --grid 3 --trials 2 --seed 1 --out "$work/sweep.csv"
 step "$@" sweep --n 8 --grid 3 --trials 4 --seed 1 --out "$work/sweep8.csv"

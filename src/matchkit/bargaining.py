@@ -33,7 +33,7 @@ from .errors import (
 )
 from .instances import (
     CutVector, Instance, Matching, Matrix, _check_count, _check_fits, _check_limit, _check_pair,
-    _coerce_matrix,
+    _coerce_matrix, _coerce_row,
 )
 from .rng import SplitMix64, _check_integer
 from .tolerance import DEFAULT_EPS, _check_tolerance
@@ -108,14 +108,14 @@ def _halfplanes(model: BargainingModel, inst: Instance, i: int, j: int, num=floa
 
 
 def _holds(model, inst, i, j, u, v, eps, strict) -> bool:
-    """Every half-plane of F(i, j) met at (u, v) within eps, or by more
-    than eps when ``strict``.  A row whose float form overflows (tw/beta
+    """Every half-plane of F(i, j) met at finite (u, v) within eps, or by
+    more than eps when ``strict``.  A row whose float form overflows (tw/beta
     for a tiny beta) would read inf <= inf; it is decided exactly over
     the floats' values, as ``_corner_level`` divides."""
     exact = None
     for k, row in enumerate(_halfplanes(model, inst, i, j)):
         x, y, e = u, v, eps
-        if not all(map(math.isfinite, row)) and math.isfinite(u) and math.isfinite(v):
+        if not all(map(math.isfinite, row)):
             exact = exact or _halfplanes(model, inst, i, j, Fraction)
             row, x, y, e = exact[k], Fraction(u), Fraction(v), Fraction(eps)
         cu, cv, rhs = row
@@ -135,9 +135,10 @@ def in_feasible_set(
     *,
     eps: float = DEFAULT_EPS,
 ) -> bool:
-    """Closed-set membership: can couple (i, j) guarantee cuts (u, v)?"""
+    """Closed-set membership: can couple (i, j) guarantee the finite cuts (u, v)?"""
     eps = _check_tolerance(eps)
     i, j = _check_pair(inst.n, i, j)
+    u, v = _coerce_row((u, v), "(u, v)")
     return _holds(model, inst, i, j, u, v, eps, strict=False)
 
 
@@ -158,6 +159,7 @@ def in_interior(
     """
     eps = _check_tolerance(eps)
     i, j = _check_pair(inst.n, i, j)
+    u, v = _coerce_row((u, v), "(u, v)")
     return _holds(model, inst, i, j, u, v, eps, strict=True)
 
 

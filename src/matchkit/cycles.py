@@ -68,11 +68,11 @@ WeightMatrix = Union[np.ndarray, Sequence[Sequence[float]]]
 Found = tuple[tuple[int, ...], float]
 
 
-def linear_sum_assignment(cost, maximize: bool = False):
-    """scipy's assignment solver, imported on the first call: of the CLI's
-    commands only ``solve ft`` needs it on every run."""
+def linear_sum_assignment(weights):
+    """scipy's assignment solver, maximizing the total weight; imported on
+    the first call, as only ``solve ft`` needs it on every run."""
     from scipy.optimize import linear_sum_assignment as solve
-    return solve(cost, maximize=maximize)
+    return solve(weights, maximize=True)
 
 
 def _canonical(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -136,7 +136,7 @@ def _cycle_cover(weights: WeightMatrix, eps: float) -> Found | None:
         if bound + rounding_bound(4 * n, bound) <= eps:
             return None
     if np.isfinite(arr).all():
-        _, succ = linear_sum_assignment(arr, maximize=True)
+        _, succ = linear_sum_assignment(arr)
         step = [-1 if b == a else int(b) for a, b in enumerate(succ)]
         found = _best_of(weights, _functional_cycles(step), eps)
         if found is not None:

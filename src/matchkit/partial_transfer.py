@@ -297,19 +297,17 @@ def check_pq_monotonicity(
 
     More inter-pair sharing and less internal sharing both weaken
     deviating chains, so the stable region is an upper-left set of the
-    grid.  Each cell is one detector call, with no size guard: an 11 by 11
-    grid takes about 0.2 s at n = 150.
+    grid.  Each cell is one ``find_pq_blocking_chain`` call, with no size
+    guard: an 11 by 11 grid takes about 0.2 s at n = 150.
     """
     eps = _check_tolerance(eps)
     grid_steps = _check_count("grid_steps", grid_steps, 2)
-    _check_fits(inst.n, matching)
-    tables = inst.theta_m.array, inst.theta_w.array
     denom = grid_steps - 1
     stable = [[False] * grid_steps for _ in range(grid_steps)]
     for ip in range(grid_steps):
         for iq in range(grid_steps):
-            weights = _pq_weights(*tables, matching.assignment, ip / denom, iq / denom)
-            stable[ip][iq] = find_positive_cycle(weights, eps) is None
+            pq = PQParams(ip / denom, iq / denom)
+            stable[ip][iq] = find_pq_blocking_chain(inst, matching, pq, eps=eps) is True
     # Upper-left closure follows, by induction, from each stable cell's
     # next cell in p and previous cell in q being stable.
     return all(

@@ -88,13 +88,9 @@ def optimal_assignment(theta: Sequence[Sequence[float]]) -> tuple[Matching, floa
     wider one would accept matchings more than eps below the optimum),
     nor a stability predicate, so it takes no ``eps``.
     """
-    return _optimal_assignment(_square(theta))
-
-
-def _optimal_assignment(table: _Table) -> tuple[Matching, float]:
-    """``optimal_assignment`` on a table ``_square`` has validated."""
+    table = _square(theta)
     arr = table.array
-    _, cols = linear_sum_assignment(arr, maximize=True)
+    _, cols = linear_sum_assignment(arr)
     chosen = _lex_first_perfect_matching(_tight_edges(table, cols), cols.tolist())
     # Python floats summed left to right: the CLI prints this value's repr
     return Matching(tuple(chosen)), sum(arr[np.arange(len(arr)), chosen].tolist())
@@ -229,19 +225,15 @@ def is_cyclically_monotone(
     """True when no couple cycle gains from rotating partners.
 
     Otherwise returns a ChainWitness (which is falsy) carrying one
-    violating cycle and its gain.
+    violating cycle and its gain.  This is the one ft chain check: the
+    cycle detector on the (1, 1) chain weights of the pooled table
+    against a zero women's table.
     """
     eps = _check_tolerance(eps)
-    witness = _blocking_chain(_square(theta, matching).array, matching.assignment, eps)
-    return True if witness is None else witness
-
-
-def _blocking_chain(arr: np.ndarray, assignment, eps: float) -> ChainWitness | None:
-    """The one ft chain check: a couple cycle of ``assignment`` whose
-    rotation gains more than eps on the validated table ``arr``, or None."""
-    chains = _pq_weights(arr, np.zeros_like(arr), assignment, 1.0, 1.0)
+    arr = _square(theta, matching).array
+    chains = _pq_weights(arr, np.zeros_like(arr), matching.assignment, 1.0, 1.0)
     found = find_positive_cycle(chains, eps)
-    return None if found is None else ChainWitness(*found)
+    return True if found is None else ChainWitness(*found)
 
 
 def chain_potentials(theta: Sequence[Sequence[float]], matching: Matching) -> list[float]:
@@ -311,8 +303,8 @@ def dual_cuts(
     if not (
         bound <= eps or settled and np.abs(arr).max() <= 2.0**47 / n and (arr % 1 == 0).all()
     ):
-        witness = _blocking_chain(arr, assignment, eps)
-        if witness is not None:
+        witness = is_cyclically_monotone(table, matching, eps=eps)
+        if witness is not True:
             raise NotCyclicallyMonotoneError(
                 f"matching admits blocking chain {witness.cycle} with gain {witness.gain}"
             )
@@ -365,7 +357,7 @@ def check_optimality_of_cuts(
             f"< theta = {float(arr[i, j])}"
         )
     n = len(arr)
-    best_matching, best = _optimal_assignment(table)
+    best_matching, best = optimal_assignment(table)
     total = cuts.total()
     if math.isfinite(total) and math.isfinite(best):
         return abs(total - best) <= n * eps

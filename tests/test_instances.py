@@ -957,6 +957,76 @@ REFUSALS = {
         DomainError,
         "pair (0, -1) out of range for n=2",
     ),
+    "in_feasible_set u='a'": (
+        lambda: in_feasible_set(BargainingModel("ft"), BOXED, 0, 0, 'a', 0.0),
+        MalformedInputError,
+        "(u, v)[0] is not a number",
+    ),
+    "in_feasible_set v=None": (
+        lambda: in_feasible_set(BargainingModel("ft"), BOXED, 0, 0, 0.0, None),
+        MalformedInputError,
+        "(u, v)[1] is not a number",
+    ),
+    "in_feasible_set u=1+2j": (
+        lambda: in_feasible_set(BargainingModel("ft"), BOXED, 0, 0, 1 + 2j, 0.0),
+        MalformedInputError,
+        "(u, v)[0] is not a number",
+    ),
+    "in_feasible_set u=True": (
+        lambda: in_feasible_set(BargainingModel("ft"), BOXED, 0, 0, True, 0.0),
+        MalformedInputError,
+        "(u, v)[0] is not a number",
+    ),
+    "in_feasible_set v=10**400": (
+        lambda: in_feasible_set(BargainingModel("ft"), BOXED, 0, 0, 0.0, 10**400),
+        NonFiniteEntryError,
+        "(u, v)[1] is not finite",
+    ),
+    "in_feasible_set u=inf": (
+        lambda: in_feasible_set(BargainingModel("ft"), BOXED, 0, 0, math.inf, 0.0),
+        NonFiniteEntryError,
+        "(u, v)[0] is not finite",
+    ),
+    "in_feasible_set v=nan": (
+        lambda: in_feasible_set(BargainingModel("ft"), BOXED, 0, 0, 0.0, math.nan),
+        NonFiniteEntryError,
+        "(u, v)[1] is not finite",
+    ),
+    "in_interior v='a'": (
+        lambda: in_interior(BargainingModel("ft"), BOXED, 0, 0, 0.0, 'a'),
+        MalformedInputError,
+        "(u, v)[1] is not a number",
+    ),
+    "in_interior u=None": (
+        lambda: in_interior(BargainingModel("ft"), BOXED, 0, 0, None, 0.0),
+        MalformedInputError,
+        "(u, v)[0] is not a number",
+    ),
+    "in_interior v=1+2j": (
+        lambda: in_interior(BargainingModel("ft"), BOXED, 0, 0, 0.0, 1 + 2j),
+        MalformedInputError,
+        "(u, v)[1] is not a number",
+    ),
+    "in_interior v=True": (
+        lambda: in_interior(BargainingModel("ft"), BOXED, 0, 0, 0.0, True),
+        MalformedInputError,
+        "(u, v)[1] is not a number",
+    ),
+    "in_interior u=10**400": (
+        lambda: in_interior(BargainingModel("ft"), BOXED, 0, 0, 10**400, 0.0),
+        NonFiniteEntryError,
+        "(u, v)[0] is not finite",
+    ),
+    "in_interior v=-inf": (
+        lambda: in_interior(BargainingModel("ft"), BOXED, 0, 0, 0.0, -math.inf),
+        NonFiniteEntryError,
+        "(u, v)[1] is not finite",
+    ),
+    "in_interior u=nan": (
+        lambda: in_interior(BargainingModel("ft"), BOXED, 0, 0, math.nan, 0.0),
+        NonFiniteEntryError,
+        "(u, v)[0] is not finite",
+    ),
     "delta_q pair (-1, 0)": (
         lambda: delta_q(BOXED, Matching((0, 1)), -1, 0, 0.5),
         DomainError,
