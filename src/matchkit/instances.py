@@ -41,7 +41,9 @@ _PLAIN_NUMBERS = {int, float, np.float64}
 _FLOATS = {float}  # a row of these is kept as it is
 _NUMBERS = (int, float, np.integer, np.floating)  # np.bool_ is neither
 
-GENERATION_LIMIT = 2000  # random_instance holds 2n^2 Python floats at once
+# random_instance draws its 2n^2 rewards through two uint64 arrays of that
+# size, then holds them as a float64 array and as Python floats at once
+GENERATION_LIMIT = 2000
 
 # Iterables that are not sequences of entries: a text iterates over its
 # characters, a dict (a JSON object) over its keys.
@@ -363,13 +365,26 @@ def preference_orders(inst: Instance) -> PreferenceProfile:
 
 
 def random_instance(n: int, seed: int, dist: Distribution = Uniform01()) -> Instance:
-    """Seeded random instance; identical bits for identical arguments."""
+    """Seeded random instance; identical bits for identical arguments.
+
+    The 2n^2 rewards are one block of draws, read row by row into the
+    men's table and then the women's: the entries that ``dist.sample``
+    would give one at a time in that order.  Draws are finite, so the
+    tables need no entry check.
+    """
     n = _check_count("n", n, 1)
     _check_limit("instance generation", n, GENERATION_LIMIT)
     rng = SplitMix64(_check_integer("seed", seed))
-    theta_m = tuple(tuple(dist.sample(rng) for _ in range(n)) for _ in range(n))
-    theta_w = tuple(tuple(dist.sample(rng) for _ in range(n)) for _ in range(n))
-    return Instance(n, theta_m, theta_w)
+    if not isinstance(dist, Distribution):
+        raise MalformedInputError("dist must be a Uniform01 or IntegerRange instance")
+    return _drawn_instance(n, dist.samples(rng, 2 * n * n))
+
+
+def _drawn_instance(n: int, draws: np.ndarray) -> Instance:
+    """The instance whose tables hold ``draws``, 2n^2 finite floats, row by
+    row: the men's table, then the women's."""
+    rows = draws.reshape(2 * n, n).tolist()
+    return Instance(n, _Table(map(tuple, rows[:n])), _Table(map(tuple, rows[n:])))
 
 
 def _load_json(text: str):
@@ -464,16 +479,27 @@ def parse_instance(text: str) -> Instance:
     return _instance_from(_load_json(text)) if inst is None else inst
 
 
+# A row's entries as json.dumps(..., indent=2) writes them at a table's depth,
+# through json's C encoder, which the indenting encoder does not use.
+_ROW_TEXT = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
 def serialize_instance(inst: Instance) -> str:
-    """Inverse of parse_instance, up to whitespace and number formatting."""
-    payload = {
-        "n": inst.n,
-        "theta_m": [list(row) for row in inst.theta_m],
-        "theta_w": [list(row) for row in inst.theta_w],
-    }
+    """Inverse of parse_instance, up to whitespace and number formatting.
+
+    The text is ``json.dumps`` of ``{"n", "theta_m", "theta_w"}`` and
+    ``"beta"`` when present, with indent 2, byte for byte; only the rows
+    go through json, each in one call, and the frame is written here.
+    """
+    tables = {"theta_m": inst.theta_m, "theta_w": inst.theta_w}
     if inst.beta is not None:
-        payload["beta"] = [list(row) for row in inst.beta]
-    return json.dumps(payload, indent=2)
+        tables["beta"] = inst.beta
+    parts = [f'{{\n  "n": {inst.n}']
+    for key, table in tables.items():
+        rows = "\n    ],\n    [\n      ".join([_ROW_TEXT(row)[1:-1] for row in table])
+        parts += f',\n  "{key}": [\n    [\n      ', rows, "\n    ]\n  ]"
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def _matching_from(data) -> Matching:

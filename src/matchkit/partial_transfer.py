@@ -24,7 +24,7 @@ from .cycles import _settle_error, find_positive_cycle
 from .errors import DomainError
 from .instances import (
     Instance, Matching, PQParams, _check_count, _check_fits, _check_limit, _check_pair,
-    _check_unit_interval, _lex_search, random_instance,
+    _check_unit_interval, _drawn_instance, _lex_search, random_instance,
 )
 from .rng import SplitMix64, Uniform01, _check_integer, derive_seed
 from .tolerance import DEFAULT_EPS, _check_tolerance
@@ -201,10 +201,15 @@ def counterexample_instance(p: float, q: float, *, eps: float = DEFAULT_EPS) -> 
     q = _check_unit_interval("q", q)
     if q - p <= 10.0 * eps:
         raise DomainError(f"counterexample requires q > p (got p={p}, q={q})")
+    table = _counterexample_table(p, q)
+    return Instance(2, table, table)
+
+
+def _counterexample_table(p: float, q: float) -> tuple[tuple[float, float], ...]:
+    """Both tables of ``counterexample_instance(p, q)``, unchecked."""
     a = 1.0
     b = 2.0 * a / (p + q)
-    table = ((0.0, a), (-b, 0.0))
-    return Instance(2, table, table)
+    return ((0.0, a), (-b, 0.0))
 
 
 @dataclass(frozen=True)
@@ -275,16 +280,11 @@ def mixed_instance_stream(n: int, seed: int) -> InstanceStream:
     def gen(p: float, q: float, trial: int) -> Instance:
         cell_seed = derive_seed(seed, round(p * 10**9), round(q * 10**9), trial)
         if trial % 2 == 1 and q - p > 1e-6:
-            base = counterexample_instance(p, q)
+            # counterexample_instance(p, q), q - p far above its guard, jittered by
+            # one block of 8 draws: the men's table, then the women's, row by row
             amp = (q - p) / 100.0
-            rng = SplitMix64(cell_seed)
-
-            def jitter(x: float) -> float:
-                return x + amp * (2.0 * rng.uniform01() - 1.0)
-
-            theta_m = tuple(tuple(jitter(x) for x in row) for row in base.theta_m)
-            theta_w = tuple(tuple(jitter(x) for x in row) for row in base.theta_w)
-            return Instance(2, theta_m, theta_w)
+            noise = Uniform01().samples(SplitMix64(cell_seed), 8).reshape(2, 2, 2)
+            return _drawn_instance(2, amp * (2.0 * noise - 1.0) + _counterexample_table(p, q))
         return random_instance(n, cell_seed, Uniform01())
 
     return gen

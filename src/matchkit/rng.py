@@ -6,12 +6,21 @@ All streams are splitmix64: state advances by a fixed odd constant and is
 scrambled by two xor-multiply rounds.  ``derive_seed`` folds integers into
 a child seed so independent work units (sweep cells, trial indices) get
 decorrelated streams without sharing state.
+
+The k-th state of a stream is its seed plus k times the constant, mod
+2**64, so a block of draws needs no loop: ``next_u64s`` computes the
+states and both mixing rounds over numpy ``uint64`` arrays, which wrap
+mod 2**64, and returns the bits that as many ``next_u64`` calls would.
+Whole reward tables are drawn this way; the scalar draws serve callers
+that interleave draws with other work.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, MalformedInputError, _shown
 
@@ -23,6 +32,25 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+# _mix64 in place on a uint64 array, with one temporary of its size.  Every
+# operand is an np.uint64, so no promotion rule (numpy 1.x's value-based one
+# or NEP 50's) leaves uint64; array arithmetic wraps silently, where a
+# uint64 scalar would warn.
+_U64 = np.uint64
+_U64_GAMMA = _U64(_GAMMA)
+_SHIFTS = _U64(30), _U64(27), _U64(31), _U64(11)
+_U64_MULTIPLIERS = _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    z ^= z >> _SHIFTS[0]
+    z *= _U64_MULTIPLIERS[0]
+    z ^= z >> _SHIFTS[1]
+    z *= _U64_MULTIPLIERS[1]
+    z ^= z >> _SHIFTS[2]
+    return z
 
 
 class SplitMix64:
@@ -38,6 +66,19 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
         return _mix64(self._state)
+
+    def next_u64s(self, k: int) -> np.ndarray:
+        """The next k outputs as a uint64 array, leaving the state that k
+        ``next_u64`` calls leave."""
+        if type(k) is not int or k < 0:
+            from .instances import _check_count  # the one count guard; it imports this module
+
+            k = _check_count("k", k, 0)
+        states = np.arange(1, k + 1, dtype=_U64)
+        states *= _U64_GAMMA
+        states += _U64(self._state)
+        self._state = (self._state + k * _GAMMA) & _MASK64
+        return _mix64_array(states)
 
     def uniform01(self) -> float:
         """Float in [0, 1) with 53 random mantissa bits."""
@@ -86,6 +127,14 @@ class Uniform01:
     def sample(self, rng: SplitMix64) -> float:
         return rng.uniform01()
 
+    def samples(self, rng: SplitMix64, k: int) -> np.ndarray:
+        """k samples as a float64 array, equal to k ``sample`` calls."""
+        bits = rng.next_u64s(k)
+        bits >>= _SHIFTS[3]
+        floats = bits.astype(float)
+        floats *= 2.0**-53
+        return floats
+
 
 @dataclass(frozen=True)
 class IntegerRange:
@@ -105,6 +154,16 @@ class IntegerRange:
 
     def sample(self, rng: SplitMix64) -> float:
         return float(rng.randint(self.lo, self.hi))
+
+    def samples(self, rng: SplitMix64, k: int) -> np.ndarray:
+        """k samples as a float64 array, equal to k ``sample`` calls: the
+        offsets stay below 2**54 + 1 and the values within +-2**53, so
+        int64 holds both and float64 each value exactly."""
+        offsets = rng.next_u64s(k)
+        offsets %= _U64(self.hi - self.lo + 1)
+        values = offsets.view(np.int64)
+        values += np.int64(self.lo)
+        return values.astype(float)
 
 
 Distribution = Uniform01 | IntegerRange

@@ -21,6 +21,11 @@ of all n! assignments, against which ``optimal_assignment`` and the
 ``fnt_blocking_pairs``: the blocking pairs of a whole matching by a Python
 loop over every pair, with the same float subtractions and ``> eps`` tests
 as ``find_fnt_blocking_pairs`` makes on the tables' arrays.
+
+``scalar_random_instance`` and ``scalar_instance_stream``: the seeded
+generators drawing one reward at a time through ``Distribution.sample``
+and ``SplitMix64.uniform01``, against which the block draws of
+``random_instance`` and ``mixed_instance_stream`` are checked.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from matchkit import Instance, Matching
+from matchkit import Instance, Matching, SplitMix64, Uniform01, counterexample_instance, derive_seed
 from matchkit.transferable import _square
 
 ZERO = Fraction(0)
@@ -183,3 +188,33 @@ def fnt_blocking_pairs(inst: Instance, matching: Matching, eps: float) -> list[t
             if row_m[j] - own > eps and row_w[j] - theta_w[mj][j] > eps
         ]
     return pairs
+
+
+def scalar_random_instance(n: int, seed: int, dist=Uniform01()) -> Instance:
+    """``random_instance`` one draw at a time: the men's table row by row,
+    then the women's."""
+    rng = SplitMix64(seed)
+    theta_m = tuple(tuple(dist.sample(rng) for _ in range(n)) for _ in range(n))
+    theta_w = tuple(tuple(dist.sample(rng) for _ in range(n)) for _ in range(n))
+    return Instance(n, theta_m, theta_w)
+
+
+def scalar_instance_stream(n: int, seed: int):
+    """``mixed_instance_stream(n, seed)`` one draw at a time."""
+
+    def gen(p: float, q: float, trial: int) -> Instance:
+        cell_seed = derive_seed(seed, round(p * 10**9), round(q * 10**9), trial)
+        if trial % 2 == 1 and q - p > 1e-6:
+            base = counterexample_instance(p, q)
+            amp = (q - p) / 100.0
+            rng = SplitMix64(cell_seed)
+
+            def jitter(x: float) -> float:
+                return x + amp * (2.0 * rng.uniform01() - 1.0)
+
+            theta_m = tuple(tuple(jitter(x) for x in row) for row in base.theta_m)
+            theta_w = tuple(tuple(jitter(x) for x in row) for row in base.theta_w)
+            return Instance(2, theta_m, theta_w)
+        return scalar_random_instance(n, cell_seed, Uniform01())
+
+    return gen

@@ -78,6 +78,17 @@ def _corpus():
             "sweep", "--n", "3", "--grid", "3", "--trials", "2", "--seed", str(seed),
             "--out", "sweep.csv",
         ], "sweep.csv"
+    # Tables drawn in blocks, large enough to span many rows per side, and
+    # the sweep at its CLI defaults: 2,420 drawn trials.
+    for d, dist in enumerate(DISTS):
+        out = f"large_{d}.json"
+        yield f"gen {dist} n=300", [
+            "gen", "--n", "300", "--seed", str(3000 + d), "--dist", dist, "--out", out
+        ], out
+    yield "sweep defaults seed=1", [
+        "sweep", "--n", "3", "--grid", "11", "--trials", "20", "--seed", "1",
+        "--out", "sweep.csv",
+    ], "sweep.csv"
 
 
 def record(tmp_path) -> dict[str, tuple[str, int]]:
@@ -273,6 +284,9 @@ GOLDEN: dict[str, tuple[str, int]] = {
     "counterexample p=0.8 q=0.2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "sweep seed=0": ("2192cf9d27b2bc9d04b92397294fc9e0d880fb82205944e1383e0c46c7e3e1fc", 0),
     "sweep seed=1": ("2192cf9d27b2bc9d04b92397294fc9e0d880fb82205944e1383e0c46c7e3e1fc", 0),
+    "gen uniform01 n=300": ("9b246950d52b843809213e6d7ee2dec74795cd3e5dd85a65222c01989384c637", 0),
+    "gen int:0:9 n=300": ("ac539933a9b2040d08df7fbba97e4b34a6e1caaf930bef37fe88c2feb24b9132", 0),
+    "sweep defaults seed=1": ("f49f98047280aa78604a00bde7341c2e0e8f5df4ebf364b6e9db25e306ae5e4a", 0),
 }
 
 

@@ -80,6 +80,7 @@ from matchkit.instances import (
 from matchkit.tolerance import _check_tolerance
 
 from conftest import BOXED_THETA_M, BOXED_THETA_W, ranking_corpus
+from oracles import scalar_random_instance
 
 
 def reference_preference_orders(inst):
@@ -320,6 +321,69 @@ class TestRandomInstance:
         with pytest.raises(DomainError):
             random_instance(0, 1)
 
+    @pytest.mark.parametrize("dist", [Uniform01(), IntegerRange(0, 9)], ids=repr)
+    def test_block_draws_equal_the_scalar_generator(self, dist):
+        for n in (*range(1, 13), 50, 150):
+            for seed in (n, -n, 2**64 - n):
+                inst = random_instance(n, seed, dist)
+                assert repr(inst) == repr(scalar_random_instance(n, seed, dist))
+                for table in (inst.theta_m, inst.theta_w):
+                    assert type(table) is _Table and not table.array.flags.writeable
+                    assert table.array.tobytes() == np.array(table).tobytes()
+
+
+# Seeds past both ends of the 64-bit range and at its wrap-around.
+ANY_SEED = st.one_of(
+    st.integers(), st.integers(-(2**70), 2**70), st.integers(2**64 - 2**10, 2**64 + 2**10)
+)
+DRAW_RANGES = (IntegerRange(-(2**53), 2**53), IntegerRange(5, 5), IntegerRange(-7, 3))
+any_distribution = st.one_of(
+    st.just(Uniform01()),
+    st.sampled_from(DRAW_RANGES),
+    st.lists(st.integers(-(2**53), 2**53), min_size=2, max_size=2).map(
+        lambda bounds: IntegerRange(min(bounds), max(bounds))
+    ),
+)
+
+
+class TestBlockDraws:
+    """A block of k draws gives the bits, and leaves the state, of k
+    scalar draws."""
+
+    @settings(max_examples=300)
+    @given(ANY_SEED, st.integers(0, 300))
+    def test_block_equals_scalar_draws(self, seed, k):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        draws = block.next_u64s(k)
+        assert draws.dtype == np.uint64 and draws.shape == (k,)
+        assert draws.tolist() == [scalar.next_u64() for _ in range(k)]
+        assert block._state == scalar._state
+
+    @settings(max_examples=300)
+    @given(ANY_SEED, st.integers(0, 300), any_distribution)
+    def test_distribution_blocks_equal_sample_lists(self, seed, k, dist):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        values = dist.samples(block, k)
+        assert values.dtype == np.float64 and values.shape == (k,)
+        assert repr(values.tolist()) == repr([dist.sample(scalar) for _ in range(k)])
+        assert block._state == scalar._state
+
+
+# Floats whose shortest repr takes each of its forms.
+SERIAL_EDGES = (
+    -0.0, 0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, -2.5,
+)
+serial_entry = st.one_of(
+    st.sampled_from(SERIAL_EDGES), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def serialized_instances(draw):
+    n = draw(st.integers(1, 4))
+    table = st.lists(st.lists(serial_entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return Instance(n, draw(table), draw(table), draw(st.none() | table))
+
 
 class TestSerialization:
     def test_parse_boxed_json(self):
@@ -425,6 +489,18 @@ class TestSerialization:
         assert Instance(2, np.array(((1, 2), (3, 4))), TWO_ZERO_ROWS).theta_m == ((1, 2), (3, 4))
         with pytest.raises(MalformedInputError, match=r"^theta_m\[0\]\[0\] is not a number$"):
             Instance(2, np.array(((True, False), (False, True))), TWO_ZERO_ROWS)
+
+    @settings(max_examples=300)
+    @given(serialized_instances())
+    def test_text_is_json_dumps_with_indent_2(self, inst):
+        payload = {
+            "n": inst.n,
+            "theta_m": [list(row) for row in inst.theta_m],
+            "theta_w": [list(row) for row in inst.theta_w],
+        }
+        if inst.beta is not None:
+            payload["beta"] = [list(row) for row in inst.beta]
+        assert serialize_instance(inst) == json.dumps(payload, indent=2)
 
     def test_matching_round_trip(self):
         m = Matching((2, 0, 1))
@@ -900,6 +976,32 @@ REFUSALS = {
     ),
     "random_instance seed=True": (
         lambda: random_instance(2, True), MalformedInputError, "seed must be an integer"
+    ),
+    "random_instance dist='uniform01'": (
+        lambda: random_instance(3, 1, "uniform01"),
+        MalformedInputError,
+        "dist must be a Uniform01 or IntegerRange instance",
+    ),
+    "random_instance dist=None": (
+        lambda: random_instance(3, 1, None),
+        MalformedInputError,
+        "dist must be a Uniform01 or IntegerRange instance",
+    ),
+    "random_instance dist=IntegerRange": (
+        lambda: random_instance(3, 1, IntegerRange),
+        MalformedInputError,
+        "dist must be a Uniform01 or IntegerRange instance",
+    ),
+    "random_instance dist=Uniform01": (
+        lambda: random_instance(3, 1, Uniform01),
+        MalformedInputError,
+        "dist must be a Uniform01 or IntegerRange instance",
+    ),
+    "SplitMix64.next_u64s k=1.5": (
+        lambda: SplitMix64(1).next_u64s(1.5), MalformedInputError, "k must be an integer"
+    ),
+    "SplitMix64.next_u64s k=-1": (
+        lambda: SplitMix64(1).next_u64s(-1), DomainError, "k must be >= 0, got -1"
     ),
     "check_assumption seed=1.5": (
         lambda: check_assumption(BargainingModel("ft"), BOXED, 3, 1.5),

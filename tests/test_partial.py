@@ -43,6 +43,7 @@ from conftest import (
     random_matchings,
     seeded_permutation,
 )
+from oracles import scalar_instance_stream
 
 EPS = 1e-9
 GRID5 = [k / 4 for k in range(5)]
@@ -667,3 +668,13 @@ class TestPlaneSweep:
     def test_grid_domain(self):
         with pytest.raises(DomainError):
             pq_plane_sweep(mixed_instance_stream(2, 0), 1, 1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_stream_equals_the_scalar_stream(self, n):
+        # every trial of a CLI-default sweep: 11 x 11 cells, 20 trials each
+        stream, scalar = mixed_instance_stream(n, 13), scalar_instance_stream(n, 13)
+        for ip in range(11):
+            for iq in range(11):
+                p, q = ip / 10, iq / 10
+                for trial in range(20):
+                    assert repr(stream(p, q, trial)) == repr(scalar(p, q, trial))
