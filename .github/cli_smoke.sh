@@ -8,8 +8,10 @@
 #
 # Exits 1 at the first command whose exit code is not 0, or 1 with an
 # "unstable" verdict ("stable: no", "core-valid: no"), at the first check
-# expected stable that does not answer "stable: yes", and at the first
-# refusal step that does not exit with its expected code and error line.
+# expected stable that does not answer "stable: yes", at the first additive
+# ft solve that does not return the identity with "core audit: ok", and at
+# the first refusal step that does not exit with its expected code and error
+# line.
 set -u
 if [ "$#" -eq 0 ]; then
   set -- matchkit
@@ -37,6 +39,19 @@ stable() {
   printf '$ %s\n%s\n' "$*" "$out"
   if [ "$code" -ne 0 ] || ! grep -q '^stable: yes$' <<<"$out"; then
     echo "exit $code, expected stable: yes" >&2
+    exit 1
+  fi
+}
+
+# An ft solve on 2 couples that must exit 0 with the identity matching and
+# a passing core audit.
+identity2() {
+  local out code=0
+  out=$("$@" 2>&1) || code=$?
+  printf '$ %s\n%s\n' "$*" "$out"
+  if [ "$code" -ne 0 ] || ! grep -qxF "matching: 1→1', 2→2'" <<<"$out" \
+    || ! grep -qxF 'core audit: ok' <<<"$out"; then
+    echo "exit $code, expected matching: 1→1', 2→2' and core audit: ok" >&2
     exit 1
   fi
 }
@@ -87,6 +102,20 @@ printf '{"n": 2, "theta_m": %s, "theta_w": %s, "beta": %s}\n' \
   '[[0.5, 1.0], [0.25, 0.75]]' '[[1.0, 0.5], [0.5, 1.0]]' '[[0.5, 1.0], [0.75, 0.5]]' \
   > "$work/taxed.json"
 step "$@" core --model ft_taxed --instance "$work/taxed.json" --matching "$work/ft2.json"
+# Additive tables theta_m[i][j] = a[i] + b[j] (sums of seeded uniform draws),
+# theta_w = 0: every matching ties up to rounding, and rounding-level cycles
+# keep the chain relaxation from settling in 4n passes: in the first table
+# on the assignment solver's matching 1→2', 2→1', which the tie-break then
+# replaces, and in the second on the identity, whose cuts are certified.
+zero='[[0, 0], [0, 0]]'
+printf '{"n": 2, "theta_m": %s, "theta_w": %s}\n' \
+  '[[0.9031240876275589, 1.5203069489336754], [0.8914733894613489, 1.5086562507674655]]' \
+  "$zero" > "$work/additive_a.json"
+printf '{"n": 2, "theta_m": %s, "theta_w": %s}\n' \
+  '[[0.8701875383540523, 0.8692856992091277], [1.3492538309804314, 1.3483519918355067]]' \
+  "$zero" > "$work/additive_b.json"
+identity2 "$@" solve ft --instance "$work/additive_a.json"
+identity2 "$@" solve ft --instance "$work/additive_b.json"
 step "$@" counterexample --p 0.2 --q 0.8 --out "$work/ce.json"
 step "$@" sweep --n 3 --grid 3 --trials 2 --seed 1 --out "$work/sweep.csv"
 step "$@" sweep --n 8 --grid 3 --trials 4 --seed 1 --out "$work/sweep8.csv"

@@ -32,10 +32,10 @@ from .errors import (
     _shown,
 )
 from .instances import (
-    CutVector, Instance, Matching, Matrix, _check_count, _check_fits, _check_limit, _check_pair,
-    _coerce_matrix, _coerce_row,
+    CutVector, Instance, Matching, Matrix, _check_fits, _check_limit, _check_pair, _coerce_matrix,
+    _coerce_row,
 )
-from .rng import SplitMix64, _check_integer
+from .rng import SplitMix64, _check_count, _check_integer
 from .tolerance import DEFAULT_EPS, _check_tolerance
 
 MODEL_KINDS = ("fnt", "ft", "ft_nonneg", "ft_m2w", "ft_taxed")

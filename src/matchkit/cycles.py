@@ -45,8 +45,8 @@ answers it in three stages.
 
 The shortest-path potentials behind the dual cuts and the
 optimal-assignment tie-break are not computed here: they come from the
-vectorized relaxation in ``transferable._chain_distances``, run once per
-validated table and assignment, so the cuts continue the tie-break's run.
+vectorized relaxation in ``transferable._chain_distances``; a validated
+table keeps its last settled run, which the cuts then reuse.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .errors import (
     SizeLimitError,
     _shown,
 )
-from .rng import Distribution, SplitMix64, Uniform01, _as_integer, _check_integer
+from .rng import Distribution, SplitMix64, Uniform01, _as_integer, _check_count, _check_integer
 
 Matrix = tuple[tuple[float, ...], ...]
 
@@ -54,8 +54,8 @@ class _Table(tuple):
     """A validated n-by-n table of finite floats.  It compares, hashes,
     prints and pickles as its tuple of float tuples; ``array`` is its
     float64 array, built on first use (``combined_rewards`` hands over its
-    sum instead), read-only, and kept.  ``chain_run`` is the last chain
-    relaxation ``transferable`` ran on it, or None; it is not pickled."""
+    sum instead), read-only, and kept.  ``chain_run`` is the last settled
+    chain relaxation ``transferable`` ran on it, or None; it is not pickled."""
 
     chain_run = None
 
@@ -128,15 +128,6 @@ def _coerce_row(entries: tuple, name: str, r: int | None = None) -> tuple[float,
             raise NonFiniteEntryError(f"{where}[{c}] is not finite")
         vals.append(x)
     return tuple(vals)
-
-
-def _check_count(name: str, value, low: int) -> int:
-    """The one count guard: ``value`` as a Python int, by the integer
-    rule, of at least ``low``."""
-    count = _check_integer(name, value)
-    if count < low:
-        raise DomainError(f"{name} must be >= {low}, got {_shown(count)}")
-    return count
 
 
 def _check_limit(what: str, n: int, limit: int) -> None:

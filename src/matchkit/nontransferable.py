@@ -166,12 +166,13 @@ def verify_men_optimality(inst: Instance, *, eps: float = DEFAULT_EPS) -> MenOpt
     if prefs.has_ties:
         return MenOptimalityReport(False, None, 0, "instance has tied rewards; not applicable")
     stable = enumerate_fnt_stable(inst, eps=eps)
-    proposed = gale_shapley(inst)
+    husbands, _ = _deferred_acceptance(prefs.men, prefs.women)
+    proposed = Matching(tuple(husbands)).inverse
     n = inst.n
     rank = _positions(prefs.men)
     for other in stable:
         for i in range(n):
-            if rank[i][proposed.assignment[i]] > rank[i][other.assignment[i]]:
+            if rank[i][proposed[i]] > rank[i][other.assignment[i]]:
                 detail = f"man {i} prefers stable matching {other.assignment}"
                 return MenOptimalityReport(True, False, len(stable), detail)
     detail = f"optimal for all men across {len(stable)} stable matchings"

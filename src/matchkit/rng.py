@@ -71,8 +71,6 @@ class SplitMix64:
         """The next k outputs as a uint64 array, leaving the state that k
         ``next_u64`` calls leave."""
         if type(k) is not int or k < 0:
-            from .instances import _check_count  # the one count guard; it imports this module
-
             k = _check_count("k", k, 0)
         states = np.arange(1, k + 1, dtype=_U64)
         states *= _U64_GAMMA
@@ -108,6 +106,15 @@ def _check_integer(name: str, value) -> int:
     if integer is None:
         raise MalformedInputError(f"{name} must be an integer")
     return integer
+
+
+def _check_count(name: str, value, low: int) -> int:
+    """The one count guard: ``value`` as a Python int, by the integer
+    rule, of at least ``low``."""
+    count = _check_integer(name, value)
+    if count < low:
+        raise DomainError(f"{name} must be >= {low}, got {_shown(count)}")
+    return count
 
 
 def derive_seed(*parts: int) -> int:

@@ -47,13 +47,12 @@ class ChainWitness:
 
 
 class _ChainRun(NamedTuple):
-    """A table's last chain relaxation: its assignment, the last iterate,
-    the passes run, and whether the last of them changed nothing."""
+    """A table's last settled chain relaxation: its assignment, the
+    settled distances and the passes it took."""
 
     assignment: list[int]
     dist: np.ndarray
     passes: int
-    settled: bool
 
 
 def _square(theta, matching: Matching | None = None, cuts: CutVector | None = None) -> _Table:
@@ -83,10 +82,10 @@ def optimal_assignment(theta: Sequence[Sequence[float]]) -> tuple[Matching, floa
     u[i] + v[j] = theta[i][j].  Among tied optima the lexicographically
     smallest is returned, by one breadth-first alternating-path search
     per row of that graph, O(n^3) at worst.  Tightness is tested to n
-    times 64 roundings of max(1, max|theta|), enough for potentials summed
-    along chains of up to n hops: a tie rule, not a worst-case bound (a
-    wider one would accept matchings more than eps below the optimum),
-    nor a stability predicate, so it takes no ``eps``.
+    times 64 roundings of max|theta|, enough for potentials summed along
+    chains of up to n hops, and free of any unit.  It is a tie rule, not
+    a worst-case bound (a wider one would accept matchings more than eps
+    below the optimum), nor a stability predicate, so it takes no ``eps``.
     """
     table = _square(theta)
     arr = table.array
@@ -111,38 +110,31 @@ def _chain_distances(
     callers; a pass leaves -inf and nan in place, so such distances can
     settle too.
 
-    The run is kept as the table's ``chain_run``, so the cuts continue
-    the tie-break's run.  A later call on the same table and assignment
-    returns the kept run as it is when it settled within the call's
-    ``max_passes`` or ran exactly that many passes, and resumes it when
-    it is unsettled after fewer.  A pass depends on the last iterate
-    alone, so either gives the bits a fresh run gives.  Any other call
-    runs afresh and replaces the kept run.  A kept run is an immutable
-    record, so threads sharing a table get these bits whichever run it
-    keeps.
+    A run that settles is kept as the table's ``chain_run`` and returned
+    to any later call on the same assignment that allows at least its
+    passes; every other call relaxes from zero and leaves the kept run
+    alone.  A fresh run settles at the same pass with the same bits, so
+    no result depends on the order of calls.
     """
     arr = table.array
     key = assignment.tolist()
     run = table.chain_run
-    if run is None or run.assignment != key or run.passes > max_passes:
-        dist, passes = np.zeros(arr.shape[0]), 0
-    elif run.settled or run.passes == max_passes:
-        return run.dist, run.settled
-    else:
-        dist, passes = run.dist, run.passes
+    if run is not None and run.assignment == key and run.passes <= max_passes:
+        return run.dist, True
     own = arr[np.arange(arr.shape[0]), assignment]
+    dist = np.zeros(arr.shape[0])
     settled = False
     with np.errstate(over="ignore", invalid="ignore"):
         cost = own[:, None] - arr[:, assignment].T
-        while passes < max_passes:
+        for passes in range(1, max_passes + 1):
             nxt = _relax(dist, cost)
-            passes += 1
             if not (nxt < dist).any():
                 settled = True
                 break
             dist = nxt
     dist.flags.writeable = False
-    table.chain_run = _ChainRun(key, dist, passes, settled)
+    if settled:
+        table.chain_run = _ChainRun(key, dist, passes)
     return dist, settled
 
 
@@ -170,7 +162,7 @@ def _tight_edges(table: _Table, assignment: np.ndarray) -> np.ndarray:
         v = np.empty(n)
         v[assignment] = own - u
         # scaled by n after the rounding factor: n * max|theta| can overflow
-        slack = n * rounding_bound(64, max(1.0, float(np.abs(arr).max(initial=0.0))))
+        slack = n * rounding_bound(64, float(np.abs(arr).max(initial=0.0)))
         tight = u[:, None] + v[None, :] - arr <= slack
     tight[rows, assignment] = True
     return tight

@@ -11,8 +11,9 @@ Verdicts are compared under all three.  Sets, witnesses and cuts are
 compared only where the transform maps them exactly: the nt engines
 compare each reward with another of the same person, so their sets map
 under every transform; scaling scales every float operation of the chain
-engines exactly, so witnesses keep their cycle and scale their gain, and
-cuts scale bit for bit; the core search is exact, so its men-optimal
+engines exactly, so witnesses keep their cycle and scale their gain,
+cuts scale bit for bit, and the optimal assignment keeps its matching
+and scales its value; the core search is exact, so its men-optimal
 point follows a renumbering exactly.  A renumbered or mirrored chain is
 summed in another order, which can round differently, so there only the
 verdict is compared.  Mirroring runs on uniform and small-integer tables
@@ -238,6 +239,25 @@ class TestChains:
                 got = dual_cuts(combined_rewards(scaled(inst, k)), best, eps=eps)
                 assert got.u == tuple(math.ldexp(x, k) for x in cuts.u), seed
                 assert got.v == tuple(math.ldexp(x, k) for x in cuts.v), seed
+
+
+class TestOptimalAssignment:
+    """The tie rule scales with the table, so scaling keeps the matching
+    and scales the value exactly, also at 2**-40, where a rule with an
+    absolute floor would read real gaps as ties."""
+
+    def test_optimal_assignment(self):
+        tables = [combined_rewards(inst) for _, inst in corpus(range(2, 11), 3)]
+        tables += [
+            combined_rewards(random_instance(n, derive_seed(7, n, s)))
+            for n in (5, 10, 20, 40)
+            for s in range(5)
+        ]
+        for index, theta in enumerate(tables):
+            matching, value = optimal_assignment(theta)
+            for k in (-40, *SCALES):
+                got = optimal_assignment([[math.ldexp(x, k) for x in row] for row in theta])
+                assert got == (matching, math.ldexp(value, k)), (index, k)
 
 
 class TestExistence:

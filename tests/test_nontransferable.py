@@ -276,7 +276,7 @@ class TestMenOptimality:
         # Men-optimal (0, 1) and women-optimal (1, 0) are both stable; a
         # proposal run that returned the latter fails the check for man 0.
         inst = Instance(2, ((1, 0), (0, 1)), ((0, 1), (1, 0)))
-        monkeypatch.setattr(nontransferable, "gale_shapley", lambda inst: Matching((1, 0)))
+        monkeypatch.setattr(nontransferable, "_deferred_acceptance", lambda men, women: ([1, 0], 2))
         report = verify_men_optimality(inst)
         assert report.applicable and report.holds is False
         assert report.stable_count == 2

@@ -569,7 +569,7 @@ def shared_run_instances():
 
 def ft_outcomes(theta, other, solve_first):
     """repr of each result, or the error text, of the ft calls on ``theta``
-    in an order that shares, resumes and replaces chain runs: the solve and
+    in an order that shares and replaces chain runs: the solve and
     ``other`` (a second matching) take turns, the cuts come before and
     after the solve, ``chain_potentials`` follows ``dual_cuts``, and the
     solve's n + 1 passes follow their 4n."""
@@ -604,7 +604,7 @@ class TestSharedChainRun:
             n = inst.n
             lists = [list(row) for row in combined_rewards(inst)]
             _, cols = linear_sum_assignment(np.array(lists), maximize=True)
-            # the solve leaves this run unsettled, and the cuts on cols resume it
+            # the solve leaves this run unsettled, and the cuts on cols relax afresh
             _, settled = transferable._chain_distances(combined_rewards(inst), cols, n + 1)
             resumed += not settled
             for other in (Matching(tuple(cols.tolist())), Matching(tuple(range(n))[::-1])):
@@ -625,6 +625,46 @@ class TestSharedChainRun:
                 dist, settled = transferable._chain_distances(table, assignment, limit)
                 fresh = transferable._chain_distances(combined_rewards(inst), assignment, limit)
                 assert (dist.tobytes(), settled) == (fresh[0].tobytes(), fresh[1]), (kind, limit)
+
+
+def counted_passes(monkeypatch) -> list[int]:
+    """Record the size of each ``transferable._relax`` pass."""
+    inner = transferable._relax
+    passes = []
+
+    def counted(dist, cost):
+        passes.append(len(dist))
+        return inner(dist, cost)
+
+    monkeypatch.setattr(transferable, "_relax", counted)
+    return passes
+
+
+class TestKeptChainRun:
+    """A table keeps only a settled relaxation."""
+
+    def test_unsettled_run_is_not_kept(self, monkeypatch):
+        # the identity admits a blocking chain, so its relaxation never settles
+        table = transferable._square(BOXED_THETA)
+        passes = counted_passes(monkeypatch)
+        for _ in range(2):
+            _, settled = transferable._chain_distances(table, np.array([0, 1]), 8)
+            assert not settled
+            assert table.chain_run is None
+        assert len(passes) == 16  # the second call relaxes afresh
+
+    def test_settled_run_outlives_an_unsettled_one(self, monkeypatch):
+        table = combined_rewards(random_instance(30, derive_seed(32, 2)))
+        matching, _ = optimal_assignment(table)
+        kept = table.chain_run
+        assert kept.assignment == list(matching.assignment)
+        # reversed, the optimum admits a blocking chain: no settled run
+        reversed_ = np.array(matching.assignment[::-1])
+        assert not transferable._chain_distances(table, reversed_, 120)[1]
+        assert table.chain_run is kept
+        passes = counted_passes(monkeypatch)
+        dual_cuts(table, matching)
+        assert passes == []
 
 
 class TestVerifyFtCore:
