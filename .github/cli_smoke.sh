@@ -10,8 +10,8 @@
 # "unstable" verdict ("stable: no", "core-valid: no"), at the first check
 # expected stable that does not answer "stable: yes", at the first additive
 # ft solve that does not return the identity with "core audit: ok", and at
-# the first refusal step that does not exit with its expected code and error
-# line.
+# the first exact step (a refusal, or a core search on the widest grid) that
+# does not exit with its expected code and output.
 set -u
 if [ "$#" -eq 0 ]; then
   set -- matchkit
@@ -56,8 +56,8 @@ identity2() {
   fi
 }
 
-# Expects the exit code and the error line given first.
-refuse() {
+# Expects the exit code and the whole output given first.
+expect() {
   local status=$1 expected=$2 out code=0
   shift 2
   out=$("$@" 2>&1) || code=$?
@@ -102,6 +102,40 @@ printf '{"n": 2, "theta_m": %s, "theta_w": %s, "beta": %s}\n' \
   '[[0.5, 1.0], [0.25, 0.75]]' '[[1.0, 0.5], [0.5, 1.0]]' '[[0.5, 1.0], [0.75, 0.5]]' \
   > "$work/taxed.json"
 step "$@" core --model ft_taxed --instance "$work/taxed.json" --matching "$work/ft2.json"
+# 3 couples on the widest power-of-two grid: 5e-324 beside +-1e308-scale
+# rewards, so the exact search runs on integers of about 2,100 bits.  The
+# second table's identity has a cut of 2.5e308, beyond the float range.
+mixed_m='[[1e308, 5e-324, -1.5e308], [5e-324, 1.5e308, 1e308], [-1e308, 1.25e308, 5e-324]]'
+mixed_beta='[[0.5, 0.1, 1.0], [0.3333333333333333, 1.0, 0.75], [1e-10, 0.5, 1.0]]'
+printf '{"n": 3, "theta_m": %s, "theta_w": %s, "beta": %s}\n' "$mixed_m" \
+  '[[5e-324, -1e308, 1.5e308], [1e308, 5e-324, -5e-324], [0.75, 5e-324, 1e308]]' \
+  "$mixed_beta" > "$work/mixed.json"
+printf '{"n": 3, "theta_m": %s, "theta_w": %s, "beta": %s}\n' "$mixed_m" \
+  '[[5e-324, -1e308, 1.5e308], [1e308, 1.5e308, -5e-324], [0.75, 5e-324, 1e308]]' \
+  "$mixed_beta" > "$work/wide.json"
+echo '{"assignment": [0, 2, 1]}' > "$work/m3.json"
+echo '{"assignment": [0, 1, 2]}' > "$work/id3.json"
+for model in ft ft_nonneg; do
+  expect 1 "model: $model
+matching: 1→1', 2→3', 3→2'
+core-valid: no" "$@" core --model "$model" --instance "$work/mixed.json" --matching "$work/m3.json"
+  expect 2 "error: the core point found has a cut beyond the float range" \
+    "$@" core --model "$model" --instance "$work/wide.json" --matching "$work/id3.json"
+done
+expect 0 "model: ft_m2w
+matching: 1→1', 2→3', 3→2'
+core-valid: yes (u=[1e+308, 1e+308, 7.5e+307], v=[0, 5e+307, 0])" \
+  "$@" core --model ft_m2w --instance "$work/mixed.json" --matching "$work/m3.json"
+expect 0 "model: ft_taxed
+matching: 1→1', 2→3', 3→2'
+core-valid: yes (u=[1e+308, 1e+308, 2.5e+307], v=[0, 5e+307, 0])" \
+  "$@" core --model ft_taxed --instance "$work/mixed.json" --matching "$work/m3.json"
+for model in ft_m2w ft_taxed; do
+  expect 0 "model: $model
+matching: 1→1', 2→2', 3→3'
+core-valid: yes (u=[1e+308, 1.5e+308, 0], v=[0, 1.5e+308, 1e+308])" \
+    "$@" core --model "$model" --instance "$work/wide.json" --matching "$work/id3.json"
+done
 # Additive tables theta_m[i][j] = a[i] + b[j] (sums of seeded uniform draws),
 # theta_w = 0: every matching ties up to rounding, and rounding-level cycles
 # keep the chain relaxation from settling in 4n passes: in the first table
@@ -122,14 +156,14 @@ step "$@" sweep --n 8 --grid 3 --trials 4 --seed 1 --out "$work/sweep8.csv"
 # Each side's table is finite but the pooled one overflows.
 big='[[1e308, 1e308], [1e308, 1e308]]'
 printf '{"n": 2, "theta_m": %s, "theta_w": %s}\n' "$big" "$big" > "$work/pooled.json"
-refuse 2 "error: theta[0][0] is not finite" "$@" solve ft --instance "$work/pooled.json"
-refuse 2 "error: p must lie in [0, 1], got 1.5" \
+expect 2 "error: theta[0][0] is not finite" "$@" solve ft --instance "$work/pooled.json"
+expect 2 "error: p must lie in [0, 1], got 1.5" \
   "$@" check --instance "$work/inst.json" --matching "$work/nt.json" --p 1.5 --q 0.5
-refuse 2 "error: MATCHKIT_EPS must be a finite non-negative number" \
+expect 2 "error: MATCHKIT_EPS must be a finite non-negative number" \
   env MATCHKIT_EPS=nan "$@" solve ft --instance "$work/int.json"
 # Size limits: the existence oracle and the ft core search.
-refuse 3 "error: existence oracle limited to n <= 8, got 9" \
+expect 3 "error: existence oracle limited to n <= 8, got 9" \
   "$@" sweep --n 9 --grid 3 --trials 1 --seed 1 --out "$work/sweep9.csv"
-refuse 3 "error: core search limited to n <= 3, got 4" \
+expect 3 "error: core search limited to n <= 3, got 4" \
   "$@" core --model ft --instance "$work/inst.json" --matching "$work/ft.json"
 echo "cli smoke: all commands ran"

@@ -12,10 +12,13 @@ its cuts and no pair at all could enter the interior of its own set.
 With the matching fixed, the supporting cut vectors form a lattice
 (Demange & Gale 1985), and ``search_core`` finds its men-optimal point
 exactly: a monotone descent on the men's cuts, with cycles of binding
-bounds accelerated, in rational arithmetic over each float's exact
-value, so boundary cases are decided without float ambiguity.  One
-half-plane table serves both: the float predicates read it in floats
-(a row that overflows, exactly), the search in Fractions.
+bounds accelerated, so boundary cases are decided without float
+ambiguity.  It runs on ints, the rewards scaled to their power-of-two
+grid, which scales every value of the descent and keeps every slope and
+comparison; a quotient that is not whole (the taxed family's 1/beta) is
+a Fraction.  One half-plane table serves every arithmetic: the float
+predicates read it in floats (a row that overflows, exactly, in
+Fractions), the search on the grid.
 """
 
 from __future__ import annotations
@@ -86,10 +89,12 @@ def _beta_at(model: BargainingModel, inst: Instance, i: int, j: int) -> float:
 def _halfplanes(model: BargainingModel, inst: Instance, i: int, j: int, num=float) -> tuple:
     """F(i, j) as half-planes (cu, cv, rhs): cu*u + cv*v <= rhs.
 
-    ``num`` is the number type of the right-hand sides and of 1/beta:
-    ``float`` for the tolerance predicates, ``Fraction`` for the exact
-    search, which then works on each float's exact binary value.  The
-    coefficients are plain 1s and 0s, exact in either arithmetic.
+    ``num`` maps a reward to the number type of the right-hand sides:
+    ``float`` for the tolerance predicates, ``Fraction`` for their exact
+    branch, and an int on the instance's power-of-two grid (``_grid``)
+    for the search.  1/beta is a ratio, not a reward: a float in float
+    arithmetic, an exact Fraction otherwise.  The other coefficients are
+    plain 1s and 0s, exact in any arithmetic.
     """
     tm = num(inst.theta_m[i][j])
     tw = num(inst.theta_w[i][j])
@@ -103,7 +108,8 @@ def _halfplanes(model: BargainingModel, inst: Instance, i: int, j: int, num=floa
         return ((1, 1, total), (1, 0, total), (0, 1, total))
     if kind == "ft_m2w":
         return ((1, 1, total), (1, 0, tm))
-    inv = 1 / num(_beta_at(model, inst, i, j))
+    beta = _beta_at(model, inst, i, j)
+    inv = 1 / (beta if num is float else Fraction(beta))
     return ((1, inv, tm + tw * inv), (1, 0, tm))
 
 
@@ -174,7 +180,11 @@ def _corner_level(model: BargainingModel, inst: Instance, i: int, j: int) -> flo
     rows = _halfplanes(model, inst, i, j)
     if not all(math.isfinite(x) for row in rows for x in row):
         rows = _halfplanes(model, inst, i, j, Fraction)
-    return float(min(rhs / (cu + cv) for cu, cv, rhs in rows))
+    level = min(rhs / (cu + cv) for cu, cv, rhs in rows)
+    try:
+        return float(level)
+    except OverflowError:  # an exact level beyond the float range
+        return math.inf if level > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -279,6 +289,28 @@ def canonical_fnt_cuts(inst: Instance, matching: Matching) -> CutVector:
     return CutVector(tuple(u), tuple(v))
 
 
+def _grid(inst: Instance) -> tuple:
+    """(2**s, num): the least power of two putting every reward of both
+    tables on the integers, and the map of a reward to its int there."""
+    rows = (*inst.theta_m, *inst.theta_w)
+    scale = max(x.as_integer_ratio()[1] for row in rows for x in row)
+
+    def num(x: float) -> int:
+        top, den = x.as_integer_ratio()
+        return top * (scale // den)
+
+    return scale, num
+
+
+def _quotient(a, b):
+    """a / b exactly, for every division of the search: an int when both
+    are ints and b divides a, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
 class _PairBound:
     """Pair (m, j)'s bound u_h <= R(u_m) on j's husband h, with v_j at
     phi(u_h), the most F(h, j) allows.  R is +inf once a cv = 0
@@ -290,11 +322,12 @@ class _PairBound:
     __slots__ = ("over", "ys", "wall", "alpha", "gamma")
 
     def __init__(self, mine, his):
-        self.over = min((rhs / cu for cu, cv, rhs in mine if cv == 0), default=math.inf)
-        self.ys = [(Fraction(cu) / cv, rhs / cv) for cu, cv, rhs in mine if cv != 0]
-        self.wall = min((rhs / cv for cu, cv, rhs in his if cu == 0), default=math.inf)
+        self.over = min((_quotient(rhs, cu) for cu, cv, rhs in mine if cv == 0), default=math.inf)
+        self.ys = [(_quotient(cu, cv), _quotient(rhs, cv)) for cu, cv, rhs in mine if cv != 0]
+        self.wall = min((_quotient(rhs, cv) for cu, cv, rhs in his if cu == 0), default=math.inf)
         self.alpha, self.gamma = next(
-            ((rhs / cu, Fraction(cv) / cu) for cu, cv, rhs in his if cu and cv), (None, None)
+            ((_quotient(rhs, cu), _quotient(cv, cu)) for cu, cv, rhs in his if cu and cv),
+            (None, None),
         )
 
     def __call__(self, t):
@@ -309,9 +342,9 @@ class _PairBound:
         """(a, b, lo): R(x) = a*x + b on [lo, t], where R(t) is finite;
         lo is the next breakpoint down, a flatter piece of Y or the wall."""
         slope, icpt = min(self.ys, key=lambda q: (q[1] - q[0] * t, q[0]))
-        los = [(icpt - i2) / (slope - s2) for s2, i2 in self.ys if s2 < slope]
+        los = [_quotient(icpt - i2, slope - s2) for s2, i2 in self.ys if s2 < slope]
         if slope > 0 and self.wall < math.inf:
-            los.append((icpt - self.wall) / slope)
+            los.append(_quotient(icpt - self.wall, slope))
         return self.gamma * slope, self.alpha - self.gamma * icpt, max(los, default=-math.inf)
 
 
@@ -357,7 +390,7 @@ def _accelerate(bounds, u: list, pred: list, start: int) -> None:
         cycle.insert(1, x)
         x = pred[x]
     x0 = t = u[head]
-    A, B, L = Fraction(1), Fraction(0), -math.inf
+    A, B, L = 1, 0, -math.inf
     for k, m in enumerate(cycle):
         bound = bounds[m][cycle[(k + 1) % len(cycle)]]
         r = bound(t)
@@ -365,10 +398,10 @@ def _accelerate(bounds, u: list, pred: list, start: int) -> None:
             raise _NoCore
         a, b, lo = bound.piece(t)
         if A > 0 and lo > -math.inf:
-            L = max(L, (lo - B) / A)
+            L = max(L, _quotient(lo - B, A))
         t, A, B = r, a * A, a * B + b
-    if A < 1 and B / (1 - A) >= L:
-        u[head] = B / (1 - A)
+    if A < 1 and (fixed := _quotient(B, 1 - A)) >= L:
+        u[head] = fixed
     elif L == -math.inf or L == x0:
         raise _NoCore
     else:
@@ -405,6 +438,14 @@ def search_core(
     "ft" has no caps and its cuts translate; its gauge caps u_h at the
     pair's total, so the least-paid woman gets exactly 0.
 
+    Arithmetic.  The descent runs on ints, every reward times the least
+    2**s that makes each entry of both tables whole (``_grid``).  That
+    scales every value of the descent by 2**s and keeps every slope and
+    comparison, so each round, each exit without a core point and each
+    cut, divided by 2**s and rounded once, are those of the descent over
+    the floats' exact values.  Only the taxed family's 1/beta makes a
+    quotient that is not whole, a Fraction (``_quotient``).
+
     The search decides exactly and does not apply ``eps``, so a gap
     below eps that ``verify_core_point`` forgives still rules a core
     point out here (identity matching, theta_m = [[1, 1.0000000001],
@@ -415,16 +456,17 @@ def search_core(
     _check_fits(n, matching)
     _check_limit("core search", n, CORE_SEARCH_LIMIT)
     wife = matching.assignment
-    own = [_halfplanes(model, inst, h, wife[h], Fraction) for h in range(n)]
+    scale, num = _grid(inst)
+    own = [_halfplanes(model, inst, h, wife[h], num) for h in range(n)]
     bounds = [
         [
-            _PairBound(_halfplanes(model, inst, m, wife[h], Fraction), own[h]) if m != h else None
+            _PairBound(_halfplanes(model, inst, m, wife[h], num), own[h]) if m != h else None
             for h in range(n)
         ]
         for m in range(n)
     ]
     # the caps; "ft" has none, and its gauge puts u_h at the pair's total
-    u = [min((rhs / cu for cu, cv, rhs in hp if cv == 0), default=hp[0][2]) for hp in own]
+    u = [min((_quotient(rhs, cu) for cu, cv, rhs in hp if cv == 0), default=hp[0][2]) for hp in own]
     pred: list = [None] * n
     rounds = 0
     try:
@@ -434,10 +476,10 @@ def search_core(
                 _accelerate(bounds, u, pred, last)
     except _NoCore:
         return None
-    v = [Fraction(0)] * n
+    v = [0] * n
     for h in range(n):
-        v[wife[h]] = min((rhs - cu * u[h]) / cv for cu, cv, rhs in own[h] if cv != 0)
-    try:
-        return CutVector(tuple(float(x) for x in u), tuple(float(x) for x in v))
+        v[wife[h]] = min(_quotient(rhs - cu * u[h], cv) for cu, cv, rhs in own[h] if cv != 0)
+    try:  # off the grid, rounded once: int / int and float(Fraction) round correctly
+        return CutVector(tuple(float(x / scale) for x in u), tuple(float(x / scale) for x in v))
     except OverflowError:
         raise NonFiniteEntryError("the core point found has a cut beyond the float range") from None

@@ -22,6 +22,11 @@ of all n! assignments, against which ``optimal_assignment`` and the
 loop over every pair, with the same float subtractions and ``> eps`` tests
 as ``find_fnt_blocking_pairs`` makes on the tables' arrays.
 
+``fraction_search_core``: ``search_core``'s descent with every value a
+Fraction of the floats' exact values, against which its integer descent on
+the instance's power-of-two grid is checked.  It returns the cuts or None,
+or raises the same error, and counts its rounds (sweeps).
+
 ``scalar_random_instance`` and ``scalar_instance_stream``: the seeded
 generators drawing one reward at a time through ``Distribution.sample``
 and ``SplitMix64.uniform01``, against which the block draws of
@@ -30,11 +35,16 @@ and ``SplitMix64.uniform01``, against which the block draws of
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from matchkit import Instance, Matching, SplitMix64, Uniform01, counterexample_instance, derive_seed
+from matchkit import (
+    CutVector, Instance, Matching, NonFiniteEntryError, SplitMix64, Uniform01,
+    counterexample_instance, derive_seed,
+)
+from matchkit.bargaining import _halfplanes
 from matchkit.transferable import _square
 
 ZERO = Fraction(0)
@@ -218,3 +228,113 @@ def scalar_instance_stream(n: int, seed: int):
         return scalar_random_instance(n, cell_seed, Uniform01())
 
     return gen
+
+
+class _FractionBound:
+    """``bargaining._PairBound`` with every quotient a Fraction."""
+
+    def __init__(self, mine, his):
+        self.over = min((rhs / cu for cu, cv, rhs in mine if cv == 0), default=math.inf)
+        self.ys = [(Fraction(cu) / cv, rhs / cv) for cu, cv, rhs in mine if cv != 0]
+        self.wall = min((rhs / cv for cu, cv, rhs in his if cu == 0), default=math.inf)
+        self.alpha, self.gamma = next(
+            ((rhs / cu, Fraction(cv) / cu) for cu, cv, rhs in his if cu and cv), (None, None)
+        )
+
+    def __call__(self, t):
+        if t >= self.over:
+            return math.inf
+        y = min(icpt - slope * t for slope, icpt in self.ys)
+        if y > self.wall:
+            return -math.inf
+        return math.inf if self.alpha is None else self.alpha - self.gamma * y
+
+    def piece(self, t):
+        slope, icpt = min(self.ys, key=lambda q: (q[1] - q[0] * t, q[0]))
+        los = [(icpt - i2) / (slope - s2) for s2, i2 in self.ys if s2 < slope]
+        if slope > 0 and self.wall < math.inf:
+            los.append((icpt - self.wall) / slope)
+        return self.gamma * slope, self.alpha - self.gamma * icpt, max(los, default=-math.inf)
+
+
+class _NoCore(Exception):
+    pass
+
+
+def _fraction_sweep(bounds, u, pred):
+    last = None
+    for h in range(len(u)):
+        for m in range(len(u)):
+            if m == h:
+                continue
+            r = bounds[m][h](u[m])
+            if r < u[h]:
+                if r == -math.inf:
+                    raise _NoCore
+                u[h], pred[h], last = r, m, h
+    return last
+
+
+def _fraction_accelerate(bounds, u, pred, start):
+    head = start
+    for _ in u:
+        if (head := pred[head]) is None:
+            return
+    cycle, x = [head], pred[head]
+    while x != head:
+        cycle.insert(1, x)
+        x = pred[x]
+    x0 = t = u[head]
+    A, B, L = Fraction(1), Fraction(0), -math.inf
+    for k, m in enumerate(cycle):
+        bound = bounds[m][cycle[(k + 1) % len(cycle)]]
+        r = bound(t)
+        if r == -math.inf:
+            raise _NoCore
+        a, b, lo = bound.piece(t)
+        if A > 0 and lo > -math.inf:
+            L = max(L, (lo - B) / A)
+        t, A, B = r, a * A, a * B + b
+    if A < 1 and B / (1 - A) >= L:
+        u[head] = B / (1 - A)
+    elif L == -math.inf or L == x0:
+        raise _NoCore
+    else:
+        u[head] = L
+    pred[head] = None
+
+
+def fraction_search_core(
+    model, inst: Instance, matching: Matching, sweeps: list
+) -> CutVector | None:
+    """Oracle: the men-optimal core cuts or None, in Fractions, at any n;
+    appends one entry per round to ``sweeps``, empty on entry."""
+    n = inst.n
+    wife = matching.assignment
+    own = [_halfplanes(model, inst, h, wife[h], Fraction) for h in range(n)]
+    bounds = [
+        [
+            _FractionBound(_halfplanes(model, inst, m, wife[h], Fraction), own[h])
+            if m != h else None
+            for h in range(n)
+        ]
+        for m in range(n)
+    ]
+    u = [min((rhs / cu for cu, cv, rhs in hp if cv == 0), default=hp[0][2]) for hp in own]
+    pred: list = [None] * n
+    try:
+        while True:
+            sweeps.append(1)
+            if (last := _fraction_sweep(bounds, u, pred)) is None:
+                break
+            if len(sweeps) > n:
+                _fraction_accelerate(bounds, u, pred, last)
+    except _NoCore:
+        return None
+    v = [Fraction(0)] * n
+    for h in range(n):
+        v[wife[h]] = min((rhs - cu * u[h]) / cv for cu, cv, rhs in own[h] if cv != 0)
+    try:
+        return CutVector(tuple(float(x) for x in u), tuple(float(x) for x in v))
+    except OverflowError:
+        raise NonFiniteEntryError("the core point found has a cut beyond the float range") from None

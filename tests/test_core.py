@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,6 +12,7 @@ from matchkit import (
     Instance,
     IntegerRange,
     Matching,
+    MatchkitError,
     PreconditionError,
     SizeLimitError,
     SplitMix64,
@@ -23,13 +25,15 @@ from matchkit import (
     gale_shapley,
     in_feasible_set,
     in_interior,
+    optimal_assignment,
     random_instance,
     search_core,
     verify_core_point,
 )
 from matchkit.bargaining import _halfplanes
 
-from oracles import bruteforce_max_matching, feasible_point, satisfies
+from conftest import seeded_permutation
+from oracles import bruteforce_max_matching, feasible_point, fraction_search_core, satisfies
 
 EPS = 1e-9
 
@@ -592,3 +596,125 @@ class TestDescentRounds:
         assert not verify_core_point(
             model, inst, Matching((0, 1)), CutVector((-0.999, -0.999), (3.0, 3.0))
         )
+
+
+# Reward classes of the Fraction-oracle corpus, each a draw from a SplitMix64:
+# every scale of the power-of-two grid, from subnormals to the float limit.
+VALUE_CLASSES = {
+    "uniform": lambda rng: rng.uniform01(),
+    "int:0:9": lambda rng: float(rng.randint(0, 9)),
+    # as in TestDescentRounds: totals 1, some off by d/2, a slow plain descent
+    "near-tied": lambda rng: 0.5 + rng.randint(0, 1) * 2.5e-7,
+    "x1e8": lambda rng: rng.uniform01() * 1e8,
+    "x2^-60": lambda rng: rng.uniform01() * 2.0**-60,
+    "+-1e308": lambda rng: (2.0 * rng.uniform01() - 1.0) * 1.7e308,
+    "subnormal": lambda rng: rng.randint(-9, 9) * 5e-324,
+    "mixed": lambda rng: (rng.uniform01(), 5e-324, -0.0, 1e308, -1.5e308)[rng.randint(0, 4)],
+}
+BETA_DRAWS = (
+    lambda rng: 1 / 3,
+    lambda rng: 0.1,
+    lambda rng: 1e-10,
+    lambda rng: 1.0 - rng.uniform01(),
+)
+
+
+def grid_corpus(n, value_class, count, tag):
+    """Seeded tables of one value class, each with a beta table of one
+    BETA_DRAWS kind, and its DA, identity, pooled-optimum and seeded
+    matchings."""
+    rng = SplitMix64(derive_seed(66, tag, n, sorted(VALUE_CLASSES).index(value_class)))
+    draw = VALUE_CLASSES[value_class]
+    for k in range(count):
+        tm = tuple(tuple(draw(rng) for _ in range(n)) for _ in range(n))
+        tw = tuple(tuple(draw(rng) for _ in range(n)) for _ in range(n))
+        beta_draw = BETA_DRAWS[k % len(BETA_DRAWS)]
+        beta = tuple(tuple(beta_draw(rng) for _ in range(n)) for _ in range(n))
+        inst = Instance(n, tm, tw, beta)
+        if n <= 3:
+            total = [[Fraction(a) + Fraction(b) for a, b in zip(*rows)] for rows in zip(tm, tw)]
+            best = max(permutations(range(n)), key=lambda p: sum(total[i][p[i]] for i in range(n)))
+        else:
+            best = optimal_assignment(combined_rewards(inst))[0].assignment
+        matchings = {gale_shapley(inst), Matching(range(n)), Matching(best)}
+        matchings.add(Matching(seeded_permutation(n, rng)))
+        yield inst, sorted(matchings, key=lambda m: m.assignment)
+
+
+class TestGridArithmetic:
+    """The integer descent on the power-of-two grid against the Fraction
+    descent over the floats' exact values: the same cuts or None, the same
+    error, and the same rounds; and Fractions only where a quotient is not
+    whole, in the taxed family."""
+
+    @staticmethod
+    def outcome(search):
+        try:
+            return repr(search())
+        except MatchkitError as err:
+            return type(err), str(err)
+
+    def compare(self, monkeypatch, kinds, cases):
+        rounds = TestDescentRounds.count_rounds(monkeypatch)
+        seen = Counter()
+        for inst, matchings in cases:
+            for kind in kinds:
+                model = BargainingModel(kind, inst.beta if kind == "ft_taxed" else None)
+                for matching in matchings:
+                    rounds.clear()
+                    found = self.outcome(lambda: search_core(model, inst, matching))
+                    sweeps = []
+                    expected = self.outcome(
+                        lambda: fraction_search_core(model, inst, matching, sweeps)
+                    )
+                    assert (found, len(rounds)) == (expected, len(sweeps)), (kind, inst, matching)
+                    fail = type(found) is tuple
+                    seen["error" if fail else "none" if found == "None" else "cuts"] += 1
+                    seen["accelerated"] += len(sweeps) > inst.n + 1
+        return seen
+
+    def test_equal_to_fraction_descent_at_n_up_to_3(self, monkeypatch):
+        cases = [
+            case
+            for n in (1, 2, 3)
+            for value_class in VALUE_CLASSES
+            for case in grid_corpus(n, value_class, 8 if n < 3 else 6, 0)
+        ]
+        seen = self.compare(monkeypatch, ALL_KINDS, cases)
+        assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+    def test_equal_to_fraction_descent_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(bargaining, "CORE_SEARCH_LIMIT", 8)
+        cases = [
+            case
+            for n in range(4, 9)
+            for value_class in ("uniform", "int:0:9", "near-tied", "x1e8")
+            for case in grid_corpus(n, value_class, 1, 1)
+        ]
+        seen = self.compare(monkeypatch, ("ft", "ft_nonneg", "ft_m2w"), cases)
+        assert seen["cuts"] > 0 and seen["none"] > 0, seen
+
+    def test_fractions_built_only_for_taxed(self, monkeypatch):
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                built.append(1)
+                return Fraction(*args)
+
+        monkeypatch.setattr(bargaining, "Fraction", Counted)
+        counts = {}
+        for kind in ALL_KINDS:
+            built.clear()
+            for n in (2, 3):
+                for value_class in ("uniform", "mixed"):
+                    for inst, matchings in grid_corpus(n, value_class, 2, 2):
+                        model = BargainingModel(kind, inst.beta if kind == "ft_taxed" else None)
+                        for matching in matchings:
+                            try:
+                                search_core(model, inst, matching)
+                            except MatchkitError:
+                                pass
+            counts[kind] = len(built)
+        assert counts.pop("ft_taxed") > 0
+        assert counts == dict.fromkeys(("fnt", "ft", "ft_nonneg", "ft_m2w"), 0)

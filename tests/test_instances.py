@@ -33,6 +33,7 @@ from matchkit import (
     MatchkitError,
     NonFiniteEntryError,
     PQParams,
+    PreconditionError,
     PreferenceProfile,
     SizeLimitError,
     SplitMix64,
@@ -967,6 +968,17 @@ REFUSALS = {
         lambda: check_assumption(BargainingModel("ft"), BOXED, 1.5, 1),
         MalformedInputError,
         "samples must be an integer",
+    ),
+    # the exact corner level, -3.6e308, rounds to -inf rather than overflowing
+    "check_assumption ft_nonneg corner level below the float range": (
+        lambda: check_assumption(
+            BargainingModel("ft_nonneg"),
+            Instance(1, [[-1.7976931348623157e308]], [[-1.7976931348623157e308]]),
+            5,
+            1,
+        ),
+        PreconditionError,
+        "cannot sample around budget c1=-inf and corner c2=-inf",
     ),
     "random_instance n=2.5": (
         lambda: random_instance(2.5, 1), MalformedInputError, "n must be an integer"
