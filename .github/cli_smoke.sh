@@ -157,6 +157,22 @@ step "$@" sweep --n 8 --grid 3 --trials 4 --seed 1 --out "$work/sweep8.csv"
 big='[[1e308, 1e308], [1e308, 1e308]]'
 printf '{"n": 2, "theta_m": %s, "theta_w": %s}\n' "$big" "$big" > "$work/pooled.json"
 expect 2 "error: theta[0][0] is not finite" "$@" solve ft --instance "$work/pooled.json"
+# 12 couples, past the size where parsed float tables keep tuple rows: a
+# literal true falls back to the entry check, and each side held as an array
+# still pools to an overflowing table that is refused.
+table12() {  # a 12-by-12 JSON table of $1, with $2 in row 3, column 4 when given
+  local cells=() rows=() k
+  for k in $(seq 144); do cells+=("$1"); done
+  if [ "$#" -gt 1 ]; then cells[40]=$2; fi  # 3 * 12 + 4
+  for k in $(seq 0 12 132); do rows+=("[$(IFS=,; echo "${cells[*]:k:12}")]"); done
+  echo "[$(IFS=,; echo "${rows[*]}")]"
+}
+printf '{"n": 12, "theta_m": %s, "theta_w": %s}\n' "$(table12 0.5 true)" "$(table12 0.25)" \
+  > "$work/true12.json"
+expect 2 "error: theta_m[3][4] is not a number" "$@" solve ft --instance "$work/true12.json"
+printf '{"n": 12, "theta_m": %s, "theta_w": %s}\n' "$(table12 1e308)" "$(table12 1e308)" \
+  > "$work/pooled12.json"
+expect 2 "error: theta[0][0] is not finite" "$@" solve ft --instance "$work/pooled12.json"
 expect 2 "error: p must lie in [0, 1], got 1.5" \
   "$@" check --instance "$work/inst.json" --matching "$work/nt.json" --p 1.5 --q 0.5
 expect 2 "error: MATCHKIT_EPS must be a finite non-negative number" \

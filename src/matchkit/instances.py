@@ -51,11 +51,11 @@ _NOT_SEQUENCES = (str, bytes, dict)
 
 
 class _Table(tuple):
-    """A validated n-by-n table of finite floats.  It compares, hashes,
-    prints and pickles as its tuple of float tuples; ``array`` is its
-    float64 array, built on first use (``combined_rewards`` hands over its
-    sum instead), read-only, and kept.  ``chain_run`` is the last settled
-    chain relaxation ``transferable`` ran on it, or None; it is not pickled."""
+    """A validated n-by-n table of finite floats, held as its rows: it
+    compares, hashes, prints and pickles as its tuple of float tuples, which
+    exist from construction.  ``array`` is its float64 array, built on first
+    use, read-only, and kept.  ``chain_run`` is the last settled chain
+    relaxation ``transferable`` ran on it, or None; it is not pickled."""
 
     chain_run = None
 
@@ -69,11 +69,62 @@ class _Table(tuple):
         return _Table, (tuple(self),)
 
 
+class _ArrayTable:
+    """The array-first form of ``_Table``, for tables that numpy engines
+    read whole: ``array``, a read-only float64 array of finite entries, is
+    the table.  It compares, hashes, prints and iterates as its tuple of
+    float tuples, ``rows``, which are built from the array on first read
+    and kept, and pickles as a ``_Table`` of them; its length is the
+    array's row count, read without them.  ``chain_run`` is as on
+    ``_Table``."""
+
+    chain_run = None
+
+    def __init__(self, array: np.ndarray):
+        array.flags.writeable = False
+        self.array = array
+
+    @cached_property
+    def rows(self) -> Matrix:
+        return tuple(map(tuple, self.array.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other):
+        return self.rows == other
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return repr(self.rows)
+
+    def __reduce__(self):
+        return _Table, (self.rows,)
+
+
+_TABLES = (_Table, _ArrayTable)  # the two forms, tested by exact type, the fastest test
+
+
+# The largest n of the searches that index tables in Python (stable-set
+# enumeration, the existence oracle), which take their limits from it.
+# Parsed tables of more rows are held array-first; these keep tuple rows.
+SEARCH_LIMIT = 8
+
+
 def _coerce_matrix(rows, n: int | None, name: str) -> Matrix:
     """The one table entry: validate an n-by-n matrix of finite numbers, or
     with ``n`` None a square one of its own row count; return it frozen,
-    as a ``_Table``.  A ``_Table`` of that size is returned as it is."""
-    if isinstance(rows, _Table) and n in (None, len(rows)):
+    as a ``_Table``.  A ``_Table`` or ``_ArrayTable`` of that size is
+    returned as it is."""
+    if type(rows) in _TABLES and n in (None, len(rows)):
         return rows
     try:
         if isinstance(rows, _NOT_SEQUENCES):
@@ -328,17 +379,14 @@ class PreferenceProfile:
 def combined_rewards(inst: Instance) -> Matrix:
     """Pooled reward table: entrywise sum of the two sides' tables, the
     same IEEE add as Python's on each entry.  When every sum is finite it
-    is a validated ``_Table`` holding that sum as its array; an
-    overflowing one stays a plain tuple, for the engines to refuse."""
+    is an ``_ArrayTable`` holding that numpy sum as its array, whose tuple
+    rows are built only if something reads them; an overflowing one stays
+    a plain tuple of rows, for the engines to refuse."""
     with np.errstate(over="ignore"):
         pooled = inst.theta_m.array + inst.theta_w.array
-    rows = tuple(map(tuple, pooled.tolist()))
     if not np.isfinite(pooled).all():
-        return rows
-    table = _Table(rows)
-    pooled.flags.writeable = False
-    table.__dict__["array"] = pooled  # where cached_property keeps its value
-    return table
+        return tuple(map(tuple, pooled.tolist()))
+    return _ArrayTable(pooled)
 
 
 def preference_orders(inst: Instance) -> PreferenceProfile:
@@ -390,24 +438,29 @@ def _load_json(text: str):
         raise MalformedInputError("not valid JSON: nested too deeply") from None
 
 
-# The depth guard's view of a text: quotes, backslashes and brackets,
-# every bracket read as a square one.
+# The depth guard's view of a text: quotes, backslashes, brackets, every
+# bracket read as a square one, and the first letters of true and false.
 _SQUARE_BRACKETS = bytes.maketrans(b"{}", b"[]")
-_NOT_SKELETON = bytes(sorted(set(range(256)) - set(b'"[]{}\\')))
+_NOT_SKELETON = bytes(sorted(set(range(256)) - set(b'"[]{}\\tf')))
 _SCHEMA_DEPTH = 3  # an instance's object, table and row; a matching nests 2 deep
 
 
-def _shallow_utf8(text: str) -> bytes | None:
-    """``text`` as UTF-8 when its brackets outside strings nest at most
-    _SCHEMA_DEPTH deep and close, else None (so too for a backslash or a
-    lone surrogate).
+def _shallow_utf8(text: str) -> tuple[bytes, int | None] | None:
+    """``text`` as UTF-8 and its number of strings, when its brackets
+    outside strings nest at most _SCHEMA_DEPTH deep and close, else None
+    (so too for a backslash or a lone surrogate).  The count is None when
+    a ``true`` or ``false`` stands outside the strings.
 
     Quotes pair left to right, as a parser pairs them when no backslash
-    escapes one.  Each round strips every bracket pair that encloses
-    nothing, one level of nesting, so the skeleton empties within
-    _SCHEMA_DEPTH rounds exactly when the guard holds.  A ``[`` closed by
-    ``}`` passes, but a parser refuses it on reaching the ``}``, no
-    deeper than the guard allows.
+    escapes one.  Outside strings a ``t`` or an ``f`` begins a literal
+    (or ``Infinity``, which orjson refuses).  Each round strips every
+    bracket pair that encloses nothing, one level of nesting, so the
+    skeleton empties within _SCHEMA_DEPTH rounds exactly when the guard
+    holds.  A letter keeps its brackets, so a skeleton that empties with
+    the letters in holds none; only one that does not is stripped of them
+    and run again, and a text with no literal pays for no test of one.  A
+    ``[`` closed by ``}`` passes, but a parser refuses it on reaching the
+    ``}``, no deeper than the guard allows.
     """
     try:
         raw = text.encode()
@@ -417,14 +470,20 @@ def _shallow_utf8(text: str) -> bytes | None:
     pieces = skeleton.split(b'"')  # even pieces lie outside strings
     if b"\\" in skeleton or len(pieces) % 2 == 0:
         return None
-    skeleton = b"".join(pieces[::2])
+    outside = skeleton = b"".join(pieces[::2])
     for _ in range(_SCHEMA_DEPTH):
         skeleton = skeleton.replace(b"[]", b"")
-    return None if skeleton else raw
+    if not skeleton:
+        return raw, len(pieces) // 2
+    skeleton = outside.translate(None, b"tf")
+    for _ in range(_SCHEMA_DEPTH):
+        skeleton = skeleton.replace(b"[]", b"")
+    return None if skeleton else (raw, None)
 
 
-def _orjson_build(text: str, build: Callable):
-    """``build`` applied to orjson's value of ``text``, or None when the
+def _orjson_build(text: str, build: Callable, counted: bool = False):
+    """``build`` applied to orjson's value of ``text``, and when
+    ``counted`` to the guard's count of its strings too, or None when the
     depth guard, orjson or ``build`` refuses it.
 
     orjson may see only texts that pass the guard: it crashes on deep
@@ -436,27 +495,50 @@ def _orjson_build(text: str, build: Callable):
     error, is the stdlib's; it calls _load_json itself, because
     ``json.loads``'s nesting limit counts the caller's stack frames.
     """
-    raw = _shallow_utf8(text) if isinstance(text, str) else None
-    if raw is None:
+    guarded = _shallow_utf8(text) if isinstance(text, str) else None
+    if guarded is None:
         return None
+    raw, strings = guarded
     try:
-        return build(orjson.loads(raw))
+        data = orjson.loads(raw)
+        return build(data, strings) if counted else build(data)
     except (orjson.JSONDecodeError, MatchkitError):
         return None
 
 
-def _instance_from(data) -> Instance:
+def _array_form(rows, n: int):
+    """``rows`` as an ``_ArrayTable`` when ``np.array`` reads them as a
+    finite n-by-n float64 array, else as they are, for the one table entry
+    to validate or refuse.  Only for orjson values of a text with no
+    ``true``, ``false`` or string value: ``np.array`` reads a bool as a
+    number, and a table holding a string as a string array of n * n times
+    its length; a null, an object or a short row gives no float64 matrix."""
+    try:
+        arr = np.array(rows)
+    except ValueError:  # rows of unequal length
+        return rows
+    # orjson refuses infinities, but the table's finite contract does not rest on that
+    if arr.dtype != np.float64 or arr.shape != (n, n) or not np.isfinite(arr).all():
+        return rows
+    return _ArrayTable(arr)
+
+
+def _instance_from(data, strings: int | None = None) -> Instance:
+    """The instance of a decoded text.  When n exceeds SEARCH_LIMIT and
+    ``strings``, the guard's count, is the number of keys (so the keys are
+    the only strings and no ``true`` or ``false`` stands outside them), each
+    table goes in array-first if it can; any other goes in as decoded."""
     if not isinstance(data, dict):
         raise MalformedInputError("instance JSON must be an object")
     missing = [key for key in ("n", "theta_m", "theta_w") if key not in data]
     if missing:
         raise MalformedInputError(f"instance JSON missing keys: {', '.join(missing)}")
-    return Instance(
-        n=data["n"],
-        theta_m=data["theta_m"],
-        theta_w=data["theta_w"],
-        beta=data.get("beta"),
-    )
+    n, theta_m, theta_w, beta = data["n"], data["theta_m"], data["theta_w"], data.get("beta")
+    if type(n) is int and n > SEARCH_LIMIT and strings == len(data):
+        theta_m, theta_w = _array_form(theta_m, n), _array_form(theta_w, n)
+        if beta is not None:
+            beta = _array_form(beta, n)
+    return Instance(n, theta_m, theta_w, beta)
 
 
 def parse_instance(text: str) -> Instance:
@@ -466,7 +548,7 @@ def parse_instance(text: str) -> Instance:
     "beta": [[...]]}`` with ``beta`` optional.  Malformed JSON, shape
     mismatches, and non-finite entries raise distinct errors.
     """
-    inst = _orjson_build(text, _instance_from)
+    inst = _orjson_build(text, _instance_from, counted=True)
     return _instance_from(_load_json(text)) if inst is None else inst
 
 

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _shown
-from .instances import Instance, Matching, _check_fits, _check_limit, _lex_search, preference_orders
+from .instances import (
+    SEARCH_LIMIT, Instance, Matching, _check_fits, _check_limit, _lex_search, preference_orders,
+)
 from .tolerance import DEFAULT_EPS, _check_tolerance
 
-ENUMERATION_LIMIT = 8
+ENUMERATION_LIMIT = SEARCH_LIMIT
 
 
 def find_fnt_blocking_pairs(

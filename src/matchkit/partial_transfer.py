@@ -23,13 +23,13 @@ import numpy as np
 from .cycles import _settle_error, find_positive_cycle
 from .errors import DomainError
 from .instances import (
-    Instance, Matching, PQParams, _check_fits, _check_limit, _check_pair, _check_unit_interval,
-    _drawn_instance, _lex_search, random_instance,
+    SEARCH_LIMIT, Instance, Matching, PQParams, _check_fits, _check_limit, _check_pair,
+    _check_unit_interval, _drawn_instance, _lex_search, random_instance,
 )
 from .rng import SplitMix64, Uniform01, _check_count, _check_integer, derive_seed
 from .tolerance import DEFAULT_EPS, _check_tolerance
 
-ORACLE_LIMIT = 8
+ORACLE_LIMIT = SEARCH_LIMIT
 
 InstanceStream = Callable[[float, float, int], Instance]
 

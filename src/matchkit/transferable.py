@@ -24,7 +24,9 @@ import numpy as np
 
 from .cycles import _resum_error, find_positive_cycle, linear_sum_assignment
 from .errors import DimensionMismatchError, NotCyclicallyMonotoneError, PreconditionError
-from .instances import CutVector, Matching, _check_fits, _coerce_matrix, _coerce_row, _Table
+from .instances import (
+    CutVector, Matching, _ArrayTable, _check_fits, _coerce_matrix, _coerce_row, _Table,
+)
 from .partial_transfer import _pq_weights
 from .tolerance import DEFAULT_EPS, _check_tolerance, rounding_bound
 
@@ -55,8 +57,10 @@ class _ChainRun(NamedTuple):
     passes: int
 
 
-def _square(theta, matching: Matching | None = None, cuts: CutVector | None = None) -> _Table:
-    """``theta`` through the one table entry, as a ``_Table``; the matching
+def _square(
+    theta, matching: Matching | None = None, cuts: CutVector | None = None
+) -> _Table | _ArrayTable:
+    """``theta`` through the one table entry, as a validated table; the matching
     and the cuts, when given, must fit its size."""
     theta = _coerce_matrix(theta, None, "theta")
     if not theta:
@@ -96,7 +100,7 @@ def optimal_assignment(theta: Sequence[Sequence[float]]) -> tuple[Matching, floa
 
 
 def _chain_distances(
-    table: _Table, assignment: np.ndarray, max_passes: int
+    table: _Table | _ArrayTable, assignment: np.ndarray, max_passes: int
 ) -> tuple[np.ndarray, bool]:
     """All-sources shortest chains over the hop costs of ``chain_potentials``,
     own[s] - arr[t, assignment[s]] from couple s to couple t.
@@ -143,7 +147,7 @@ def _relax(dist: np.ndarray, cost: np.ndarray) -> np.ndarray:
     return np.min(dist[:, None] + cost, axis=0)
 
 
-def _tight_edges(table: _Table, assignment: np.ndarray) -> np.ndarray:
+def _tight_edges(table: _Table | _ArrayTable, assignment: np.ndarray) -> np.ndarray:
     """Mask of pairs whose dual slack is zero up to rounding.
 
     The potentials are chain potentials over ``assignment``, so the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from matchkit import instances
 from matchkit import (
     DEFAULT_EPS,
     Instance,
@@ -120,6 +121,19 @@ def pq_weight_matrix(inst, matching, p, q):
         ]
         for a in range(n)
     ]
+
+
+def coerced_rows(monkeypatch) -> list[str]:
+    """Record the table name of each row that ``instances._coerce_row`` checks."""
+    inner = instances._coerce_row
+    names = []
+
+    def counted(entries, name, r=None):
+        names.append(name)
+        return inner(entries, name, r)
+
+    monkeypatch.setattr(instances, "_coerce_row", counted)
+    return names
 
 
 def count_calls(monkeypatch, module, name):

@@ -8,6 +8,8 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from decimal import Decimal, localcontext
 from itertools import permutations
 from pathlib import Path
@@ -75,12 +77,12 @@ from matchkit import (
 )
 from matchkit.cycles import best_cycle_bruteforce
 from matchkit.instances import (
-    _coerce_matrix, _instance_from, _lex_search, _load_json, _matching_from, _shallow_utf8,
-    _Table,
+    _ArrayTable, _coerce_matrix, _instance_from, _lex_search, _load_json, _matching_from,
+    _shallow_utf8, _Table,
 )
 from matchkit.tolerance import _check_tolerance
 
-from conftest import BOXED_THETA_M, BOXED_THETA_W, ranking_corpus
+from conftest import BOXED_THETA_M, BOXED_THETA_W, coerced_rows, ranking_corpus
 from oracles import scalar_random_instance
 
 
@@ -151,7 +153,7 @@ class TestCombinedRewards:
         assert repr(pooled) == repr(expected)
         if all(map(math.isfinite, sum(expected, ()))):
             arr = pooled.array
-            assert type(pooled) is _Table and pooled.array is arr
+            assert type(pooled) is _ArrayTable and pooled.array is arr
             assert arr.tobytes() == np.array(expected).tobytes()
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
@@ -173,7 +175,7 @@ class TestCombinedRewards:
         )
         for tm, tw, text in cases:
             pooled = combined_rewards(Instance(1, ((tm,),), ((tw,),)))
-            assert type(pooled) is _Table and repr(pooled[0][0]) == text
+            assert type(pooled) is _ArrayTable and repr(pooled[0][0]) == text
             assert repr(pooled.array[0, 0].item()) == text
         pooled = combined_rewards(Instance(1, ((1e308,),), ((1e308,),)))
         assert type(pooled) is tuple and pooled == ((math.inf,),)
@@ -225,8 +227,9 @@ class TestTable:
 
     def test_tables_keep_tuple_equality_hash_repr_and_pickle(self):
         inst = Instance(2, ((1, 2), (3, 4)), ((0.5, -0.0), (5e-324, 1e308)), ((0.5, 1), (1, 0.25)))
-        for table in (inst.theta_m, inst.theta_w, inst.beta, combined_rewards(inst)):
-            assert type(table) is _Table
+        pooled = combined_rewards(inst)
+        for table in (inst.theta_m, inst.theta_w, inst.beta, pooled):
+            assert type(table) is (_ArrayTable if table is pooled else _Table)
             table.array  # a built array shows in none of these
             plain = tuple(map(tuple, table))
             assert table == plain and plain == table
@@ -249,7 +252,105 @@ class TestTable:
             optimal_assignment(pooled)
         # finite sums whose row total overflows are validated
         edge = ((1.7e308, 1.7e308), (0, 0))
-        assert type(combined_rewards(Instance(2, edge, TWO_ZERO_ROWS))) is _Table
+        assert type(combined_rewards(Instance(2, edge, TWO_ZERO_ROWS))) is _ArrayTable
+
+
+# Float-range edges, and ints that numpy converts to float inside float rows.
+ARRAY_FIRST_EDGES = (
+    -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 2**53 + 1, 2**63,
+    2**64 - 1, -(2**63) - 1,
+)
+array_first_entry = st.one_of(
+    st.sampled_from(ARRAY_FIRST_EDGES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**64) + 1, 2**64 - 1),
+)
+
+
+@st.composite
+def array_first_tables(draw):
+    """n in 9..16 and two n-by-n lists, each with a float first entry."""
+    n = draw(st.integers(9, 16))
+    tables = []
+    for _ in range(2):
+        row = st.lists(array_first_entry, min_size=n, max_size=n)
+        rows = draw(st.lists(row, min_size=n, max_size=n))
+        rows[0][0] = draw(st.floats(allow_nan=False, allow_infinity=False))
+        tables.append(rows)
+    return n, *tables
+
+
+class TestArrayFirstTables:
+    """Parsed tables of more than 8 rows, and every finite pooled table,
+    hold a float64 array first and build tuple rows only when read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(array_first_tables())
+    def test_equal_to_the_tuple_table_of_the_same_lists(self, drawn):
+        n, tm, tw = drawn
+        text = json.dumps({"n": n, "theta_m": tm, "theta_w": tw})
+        fast = parse_instance(text)
+        data = orjson.loads(text)
+        slow = Instance(n, data["theta_m"], data["theta_w"])  # the tuple path
+        for a, b in ((fast.theta_m, slow.theta_m), (fast.theta_w, slow.theta_w)):
+            assert type(a) is _ArrayTable and type(b) is _Table and "rows" not in vars(a)
+            assert a.array.tobytes() == b.array.tobytes() and not a.array.flags.writeable
+            assert repr(a) == repr(b) and a == b and b == a and not a != b and not b != a
+            assert hash(a) == hash(b) and len(a) == n and tuple(a) == b and a[3] == b[3]
+            assert pickle.dumps(a) == pickle.dumps(b)
+            again = pickle.loads(pickle.dumps(a))
+            assert type(again) is _Table and again == a and repr(again) == repr(b)
+        assert fast == slow and slow == fast and hash(fast) == hash(slow)
+        assert repr(fast) == repr(slow)
+
+    def test_numpy_reads_ints_in_float_rows_as_float(self):
+        rng = random.Random(30)
+        read = 0
+        for _ in range(50_000):
+            k = rng.getrandbits(rng.randint(1, 64)) * rng.choice((1, -1))
+            arr = np.array([[k, 0.5]])
+            if arr.dtype == np.float64:
+                read += 1
+                assert arr[0, 0].item() == float(k), k
+        assert read > 45_000
+
+    def test_size_and_literals_decide_the_form(self):
+        for n in (8, 9):
+            inst = parse_instance(serialize_instance(random_instance(n, 3)))
+            assert type(inst.theta_m) is (_Table if n == 8 else _ArrayTable)
+        inst = parse_instance(text12())
+        assert all(type(t) is _ArrayTable for t in (inst.theta_m, inst.theta_w))
+        assert inst.theta_m == ((0.5,) * 12,) * 12
+        # an int table is no float64 array; a literal outside the tables makes
+        # the whole text take the tuple path, which still parses it
+        ints = parse_instance(text12(table_text(12, "1")))
+        assert type(ints.theta_m) is _Table and type(ints.theta_w) is _ArrayTable
+        flagged = parse_instance(text12(extra=', "flag": true'))
+        assert type(flagged.theta_m) is _Table and flagged == inst
+        named = parse_instance(text12(extra=', "name": "twelve"'))  # a string value
+        assert type(named.theta_m) is _Table and named == inst
+        twice = parse_instance(text12(extra=', "n": 12'))  # a repeated key
+        assert type(twice.theta_m) is _Table and twice == inst
+        beta = parse_instance(text12(extra=', "beta": ' + table_text(12)))
+        assert type(beta.beta) is _ArrayTable and beta.beta == inst.theta_m
+
+    def test_parsing_a_float_text_checks_no_row(self, monkeypatch):
+        text = serialize_instance(random_instance(50, 3))
+        names = coerced_rows(monkeypatch)
+        inst = parse_instance(text)
+        assert names == [] and type(inst.theta_m) is _ArrayTable
+        assert inst == random_instance(50, 3)
+
+    def test_ft_pipeline_builds_no_tuple_rows(self):
+        inst = parse_instance(serialize_instance(random_instance(50, 3)))
+        theta = combined_rewards(inst)
+        matching, _ = optimal_assignment(theta)
+        cuts = dual_cuts(theta, matching)
+        assert verify_ft_core(theta, matching, cuts)
+        for table in (theta, inst.theta_m, inst.theta_w):
+            assert type(table) is _ArrayTable and "rows" not in vars(table)
+        assert theta == python_pooling(inst)  # read, the rows are built
+        assert "rows" in vars(theta)
 
 
 class TestPreferenceOrders:
@@ -554,6 +655,34 @@ def fuzz_instance_text(rng):
     return text + "}"
 
 
+def fuzz_large_instance_text(rng):
+    """Float tables of 9 to 12 couples, at times with one entry, row or
+    table fuzzed, so the array-first form and each of its fallbacks occur."""
+    n = rng.randint(9, 12)
+    fields = {"n": str(n) if rng.random() < 0.9 else rng.choice(DECODE_ATOMS + ("12.0",))}
+    for name in ("theta_m", "theta_w", "beta"):
+        if name == "beta" and rng.random() < 0.7:
+            continue
+        grid = [
+            [repr(rng.uniform(-1e3, 1e3)) if rng.random() < 0.9 else str(rng.randint(-5, 5))
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        roll = rng.random()
+        if roll < 0.2:
+            grid[rng.randrange(n)][rng.randrange(n)] = rng.choice(DECODE_ATOMS)
+        elif roll < 0.25:
+            grid[rng.randrange(n)].pop()
+        elif roll < 0.3:
+            grid.pop()
+        rows = ["[" + ", ".join(row) + "]" for row in grid]
+        if rng.random() < 0.05:
+            rows[rng.randrange(len(rows))] = rng.choice(DECODE_ATOMS)
+        table = "[" + ", ".join(rows) + "]"
+        fields[name] = table if rng.random() < 0.95 else rng.choice(DECODE_ATOMS)
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+
+
 def fuzz_matching_text(rng):
     n = rng.randint(1, 4)
     entries = [str(j) for j in rng.sample(range(n), n)]
@@ -590,7 +719,7 @@ STDLIB_PARSE = {
     parse_instance: lambda text: _instance_from(_load_json(text)),
     parse_matching: lambda text: _matching_from(_load_json(text)),
 }
-BUILDS = {parse_instance: _instance_from, parse_matching: _matching_from}
+BUILDS = {parse_instance: _instance_from, parse_matching: lambda data, _: _matching_from(data)}
 
 
 class TestDecode:
@@ -604,22 +733,34 @@ class TestDecode:
         paths = {"guard": 0, "orjson refused": 0, "build refused": 0, "orjson": 0}
         for text in fuzz_texts(make, 3000, seed=14):
             assert decode_outcome(parse, text) == decode_outcome(STDLIB_PARSE[parse], text), text
-            raw = _shallow_utf8(text)
-            if raw is None:
+            guarded = _shallow_utf8(text)
+            if guarded is None:
                 paths["guard"] += 1
                 continue
             try:
-                data = orjson.loads(raw)
+                data = orjson.loads(guarded[0])
             except orjson.JSONDecodeError:
                 paths["orjson refused"] += 1
                 continue
             try:
-                BUILDS[parse](data)
+                BUILDS[parse](data, guarded[1])
                 paths["orjson"] += 1
             except MatchkitError:
                 paths["build refused"] += 1
         # the corpus reaches every path of the decoder
         assert min(paths.values()) > 0, paths
+
+    def test_large_fuzz_corpus_equals_stdlib_build(self):
+        forms = Counter()
+        for text in fuzz_texts(fuzz_large_instance_text, 600, seed=30):
+            outcome = decode_outcome(parse_instance, text)
+            assert outcome == decode_outcome(STDLIB_PARSE[parse_instance], text), text
+            if isinstance(outcome, str):
+                forms[type(parse_instance(text).theta_m)] += 1
+            else:
+                forms[outcome[0]] += 1
+        # both forms parse, and texts are refused as well
+        assert forms[_ArrayTable] and forms[_Table] and forms[MalformedInputError], forms
 
     @pytest.mark.parametrize(
         "parse, text, error, message",
@@ -681,6 +822,16 @@ class TestDecode:
         assert _shallow_utf8('{"x": "[[[[[[", "y": [{}]}') is not None
         assert _shallow_utf8('{"x": "[}') is None  # an unterminated string
         assert _shallow_utf8('{"x": [[]}') is None
+
+    def test_guard_counts_strings_unless_a_literal_stands_outside(self):
+        for text, strings in [
+            ('{"x": true}', None), ('{"x": [1.5, false]}', None), ('{"x": Infinity}', None),
+            ('{"x": "true", "false": 1e5}', 3), ('{"theta": [[-0.0, 5E-324]], "y": null}', 2),
+            ('{"x": [{}, []], "y": "[["}', 3), ('[[1, 2], [3]]', 0),
+        ]:
+            assert _shallow_utf8(text) == (text.encode(), strings), text
+        assert _shallow_utf8('{"x": [[[true]]]}') is None
+        assert _shallow_utf8('{"x": [[[[]]]], "y": false}') is None
 
     def test_million_deep_text_exits_2_without_a_signal(self, tmp_path):
         path = tmp_path / "deep.json"
@@ -870,6 +1021,36 @@ def eps_from_env(value):
         return resolve_eps()
 
 
+def table_text(n, value="0.5", rows=None, cell=None, row=None):
+    """A JSON table of ``rows`` rows (n by default) of n entries ``value``;
+    ``cell``, ((r, c), text), replaces one entry and ``row``, (r, text), one row."""
+    grid = [[value] * n for _ in range(n if rows is None else rows)]
+    if cell is not None:
+        (r, c), grid[r][c] = cell
+    texts = ["[" + ", ".join(entries) + "]" for entries in grid]
+    if row is not None:
+        texts[row[0]] = row[1]
+    return "[" + ", ".join(texts) + "]"
+
+
+def text12(theta_m=None, n="12", extra=""):
+    """An instance text of 12 couples, float tables past the tuple size."""
+    theta_m = table_text(12) if theta_m is None else theta_m
+    return f'{{"n": {n}, "theta_m": {theta_m}, "theta_w": {table_text(12, "0.25")}{extra}}}'
+
+
+def within_allocation(call, limit):
+    """Run ``call`` and check that its traced allocations peak below
+    ``limit`` bytes, whether it returns or raises."""
+    tracemalloc.start()
+    try:
+        return call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < limit, f"peak allocation {peak} bytes"
+
+
 # Input refusals, as (call, error class, error text).
 TWO_ZERO_ROWS = ((0, 0), (0, 0))
 HUGE, HUGE_TEXT = 10**5000, "<16610-bit integer>"
@@ -905,6 +1086,59 @@ REFUSALS = {
         "theta_m row 1 must be a list",
     ),
     "Instance n=0": (lambda: Instance(0, (), ()), DomainError, "n must be >= 1, got 0"),
+    # 12 couples: each text misses the array-first form and keeps the tuple path's error
+    "parse_instance n=12 true entry": (
+        lambda: parse_instance(text12(table_text(12, cell=((3, 4), "true")))),
+        MalformedInputError,
+        "theta_m[3][4] is not a number",
+    ),
+    "parse_instance n=12 string entry": (
+        lambda: parse_instance(text12(table_text(12, cell=((3, 4), '"1.5"')))),
+        MalformedInputError,
+        "theta_m[3][4] is not a number",
+    ),
+    # a string of 10**6 characters in a 12-by-12 numpy string array would take 576 MB
+    "parse_instance n=12 long string entry": (
+        lambda: within_allocation(
+            lambda: parse_instance(text12(table_text(12, cell=((3, 4), '"' + "x" * 10**6 + '"')))),
+            16 * 2**20,
+        ),
+        MalformedInputError,
+        "theta_m[3][4] is not a number",
+    ),
+    "parse_instance n=12 null entry": (
+        lambda: parse_instance(text12(table_text(12, cell=((3, 4), "null")))),
+        MalformedInputError,
+        "theta_m[3][4] is not a number",
+    ),
+    "parse_instance n=12 entry 1e400": (
+        lambda: parse_instance(text12(table_text(12, cell=((3, 4), "1e400")))),
+        NonFiniteEntryError,
+        "theta_m[3][4] is not finite",
+    ),
+    "parse_instance n=12 short row": (
+        lambda: parse_instance(text12(table_text(12, row=(3, "[" + ", ".join(["0.5"] * 11) + "]")))),
+        DimensionMismatchError,
+        "theta_m row 3 must have 12 entries, got 11",
+    ),
+    "parse_instance n=12 object row": (
+        lambda: parse_instance(text12(table_text(12, row=(3, '{"x": 0.5}')))),
+        MalformedInputError,
+        "theta_m row 3 must be a list",
+    ),
+    "parse_instance n=12 string table": (
+        lambda: parse_instance(text12('"ab"')),
+        MalformedInputError,
+        "theta_m must be a list of rows",
+    ),
+    "parse_instance n=12 eleven rows": (
+        lambda: parse_instance(text12(table_text(12, rows=11))),
+        DimensionMismatchError,
+        "theta_m must have 12 rows, got 11",
+    ),
+    "parse_instance n=12.0": (
+        lambda: parse_instance(text12(n="12.0")), MalformedInputError, "n must be an integer"
+    ),
     "Matching(5)": (
         lambda: Matching(5), MalformedInputError, "assignment must be a sequence of integers"
     ),

@@ -37,7 +37,7 @@ from matchkit.cycles import best_cycle_bruteforce, find_positive_cycle
 from matchkit import instances, transferable
 from matchkit.rng import SplitMix64
 
-from conftest import corpus_instance, count_calls, seeded_permutation
+from conftest import coerced_rows, corpus_instance, count_calls, seeded_permutation
 from oracles import bruteforce_max_matching
 
 BOXED_THETA = ((2.0, 5.0), (0.0, 2.0))
@@ -685,19 +685,6 @@ class TestVerifyFtCore:
             assert verify_ft_core(theta, Matching(assignment), cuts)
 
 
-def coerced_rows(monkeypatch) -> list[str]:
-    """Record the table name of each row that ``instances._coerce_row`` checks."""
-    inner = instances._coerce_row
-    names = []
-
-    def counted(entries, name, r=None):
-        names.append(name)
-        return inner(entries, name, r)
-
-    monkeypatch.setattr(instances, "_coerce_row", counted)
-    return names
-
-
 class TestOneValidation:
     def test_pooled_table_is_validated_once(self, monkeypatch):
         inner = instances._coerce_row
@@ -713,6 +700,7 @@ class TestOneValidation:
         cuts = dual_cuts(theta, matching)
         assert verify_ft_core(theta, matching, cuts)
         assert names == ["u", "v"]  # the cut vector dual_cuts builds, no table row
+        assert "rows" not in vars(theta)  # nor are the pooled table's tuple rows built
         # a plain table is checked in full, with the same message as before
         plain = [list(row) for row in theta]
         names.clear()
