@@ -9,9 +9,10 @@
 # Exits 1 at the first command whose exit code is not 0, or 1 with an
 # "unstable" verdict ("stable: no", "core-valid: no"), at the first check
 # expected stable that does not answer "stable: yes", at the first additive
-# ft solve that does not return the identity with "core audit: ok", and at
-# the first exact step (a refusal, or a core search on the widest grid) that
-# does not exit with its expected code and output.
+# ft solve that does not return the identity with "core audit: ok", at the
+# first exact step (a refusal, or a core search on the widest grid) that
+# does not exit with its expected code and output, and at the first sweep
+# whose CSV does not hash to its recorded sha256.
 set -u
 if [ "$#" -eq 0 ]; then
   set -- matchkit
@@ -52,6 +53,19 @@ identity2() {
   if [ "$code" -ne 0 ] || ! grep -qxF "matching: 1→1', 2→2'" <<<"$out" \
     || ! grep -qxF 'core audit: ok' <<<"$out"; then
     echo "exit $code, expected matching: 1→1', 2→2' and core audit: ok" >&2
+    exit 1
+  fi
+}
+
+# Runs a step, then expects the file given second to have the sha256 given
+# first.
+hashed() {
+  local expected=$1 file=$2 got
+  shift 2
+  step "$@"
+  got=$(sha256sum "$file" | cut -d ' ' -f 1)
+  if [ "$got" != "$expected" ]; then
+    echo "sha256 of $file is $got, expected $expected" >&2
     exit 1
   fi
 }
@@ -151,8 +165,14 @@ printf '{"n": 2, "theta_m": %s, "theta_w": %s}\n' \
 identity2 "$@" solve ft --instance "$work/additive_a.json"
 identity2 "$@" solve ft --instance "$work/additive_b.json"
 step "$@" counterexample --p 0.2 --q 0.8 --out "$work/ce.json"
-step "$@" sweep --n 3 --grid 3 --trials 2 --seed 1 --out "$work/sweep.csv"
-step "$@" sweep --n 8 --grid 3 --trials 4 --seed 1 --out "$work/sweep8.csv"
+# Sweeps, byte for byte: n = 3 and the oracle's limit n = 8, then a CLI-size
+# grid with an odd trial count, so every cell ends on a random trial.
+hashed 1110f3bb9acfd5fea02d3d08f25e664294ba3807d6c334041b109c2b02b343d6 "$work/sweep.csv" \
+  "$@" sweep --n 3 --grid 3 --trials 2 --seed 1 --out "$work/sweep.csv"
+hashed 64b5ac6ac40fa65d6ab9d909e75926949e5b4aa465666d841e864908fca26c20 "$work/sweep8.csv" \
+  "$@" sweep --n 8 --grid 3 --trials 4 --seed 1 --out "$work/sweep8.csv"
+hashed bec0ab0c2fdf1a9e31ceb5ef96fdba3a3fe7b62517b5915e09631c314fed6891 "$work/sweep21.csv" \
+  "$@" sweep --n 3 --grid 11 --trials 21 --seed 1 --out "$work/sweep21.csv"
 # Each side's table is finite but the pooled one overflows.
 big='[[1e308, 1e308], [1e308, 1e308]]'
 printf '{"n": 2, "theta_m": %s, "theta_w": %s}\n' "$big" "$big" > "$work/pooled.json"

@@ -416,13 +416,12 @@ def random_instance(n: int, seed: int, dist: Distribution = Uniform01()) -> Inst
     rng = SplitMix64(_check_integer("seed", seed))
     if not isinstance(dist, Distribution):
         raise MalformedInputError("dist must be a Uniform01 or IntegerRange instance")
-    return _drawn_instance(n, dist.samples(rng, 2 * n * n))
+    return _drawn_instance(n, dist.samples(rng, 2 * n * n).reshape(2 * n, n).tolist())
 
 
-def _drawn_instance(n: int, draws: np.ndarray) -> Instance:
-    """The instance whose tables hold ``draws``, 2n^2 finite floats, row by
-    row: the men's table, then the women's."""
-    rows = draws.reshape(2 * n, n).tolist()
+def _drawn_instance(n: int, rows: list) -> Instance:
+    """The instance whose tables hold ``rows``, 2n lists of n finite floats:
+    the men's table, then the women's."""
     return Instance(n, _Table(map(tuple, rows[:n])), _Table(map(tuple, rows[n:])))
 
 

@@ -16,7 +16,7 @@ two-couple family that has no stable matching whenever q exceeds p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -24,14 +24,15 @@ from .cycles import _settle_error, find_positive_cycle
 from .errors import DomainError
 from .instances import (
     SEARCH_LIMIT, Instance, Matching, PQParams, _check_fits, _check_limit, _check_pair,
-    _check_unit_interval, _drawn_instance, _lex_search, random_instance,
+    _check_unit_interval, _drawn_instance, _lex_search,
 )
-from .rng import SplitMix64, Uniform01, _check_count, _check_integer, derive_seed
+from .rng import _check_count, _check_integer, _child_seeds, _u64_rows, _unit_floats, derive_seed
 from .tolerance import DEFAULT_EPS, _check_tolerance
 
 ORACLE_LIMIT = SEARCH_LIMIT
 
-InstanceStream = Callable[[float, float, int], Instance]
+# gen(p, q, trials): an iterator over the cell's ``trials`` instances, in trial order
+InstanceStream = Callable[[float, float, int], Iterator[Instance]]
 
 
 def clip_p(x: float, p: float) -> float:
@@ -240,10 +241,11 @@ def pq_plane_sweep(
 ) -> SweepReport:
     """Empirical existence map on a uniform (p, q) grid.
 
-    For each cell, ``gen(p, q, trial)`` supplies the instance and the
-    existence oracle, under its own size guard (n <= 8), decides
-    existence.  Cells are independent work units; results are identical
-    to sequential execution.
+    For each cell, ``gen(p, q, trials)`` supplies the cell's instances,
+    one per trial, and the existence oracle, under its own size guard
+    (n <= 8), decides existence for each.  Cells are independent work
+    units; results are identical to sequential execution.  A stream that
+    gives a cell more or fewer than ``trials`` instances is refused.
     """
     eps = _check_tolerance(eps)
     grid_steps = _check_count("grid_steps", grid_steps, 2)
@@ -255,10 +257,13 @@ def pq_plane_sweep(
         for iq in range(grid_steps):
             q = iq / denom
             pq = PQParams(p, q)
-            count = 0
-            for trial in range(trials):
-                if exists_pq_stable(gen(p, q, trial), pq, eps=eps) is not None:
+            count = given = 0
+            for inst in gen(p, q, trials):
+                given += 1
+                if exists_pq_stable(inst, pq, eps=eps) is not None:
                     count += 1
+            if given != trials:
+                raise DomainError(f"stream gave {given} instances for {trials} trials")
             cells.append(SweepCell(p, q, trials, count))
     return SweepReport(tuple(cells))
 
@@ -266,28 +271,59 @@ def pq_plane_sweep(
 def mixed_instance_stream(n: int, seed: int) -> InstanceStream:
     """Half random, half adversarial trial stream for the plane sweep.
 
-    Even trials draw a uniform random instance of size n.  Odd trials in
-    the q > p region draw the two-couple counterexample family with a
-    small multiplicative jitter (amplitude (q-p)/100, far below the
-    construction's instability margin), so thin non-existence sets stay
-    visible under sampling.
+    Trial t of cell (p, q) draws from the seed ``derive_seed(seed, P, Q,
+    t)``, with P and Q the sharing levels in units of 1e-9.  Even trials
+    draw a uniform random instance of size n, as ``random_instance`` does
+    from that seed.  Odd trials in the q > p region draw the two-couple
+    counterexample family with a small multiplicative jitter (amplitude
+    (q-p)/100, far below the construction's instability margin), so thin
+    non-existence sets stay visible under sampling.
+
+    A cell is drawn in blocks of up to _TRIAL_BLOCK trials: their seeds
+    are one array, the random trials' rewards one row of draws per trial,
+    the jittered trials' noise a second block.  Blocks are drawn as the
+    iterator reaches them, so memory stays bounded for any trial count.
     """
     n = _check_count("stream size", n, 1)
     seed = _check_integer("seed", seed)
     # the oracle's own guard, before an oversized instance's 2n^2 draws
     _check_limit("existence oracle", n, ORACLE_LIMIT)
 
-    def gen(p: float, q: float, trial: int) -> Instance:
-        cell_seed = derive_seed(seed, round(p * 10**9), round(q * 10**9), trial)
-        if trial % 2 == 1 and q - p > 1e-6:
-            # counterexample_instance(p, q), q - p far above its guard, jittered by
-            # one block of 8 draws: the men's table, then the women's, row by row
-            amp = (q - p) / 100.0
-            noise = Uniform01().samples(SplitMix64(cell_seed), 8).reshape(2, 2, 2)
-            return _drawn_instance(2, amp * (2.0 * noise - 1.0) + _counterexample_table(p, q))
-        return random_instance(n, cell_seed, Uniform01())
+    def gen(p: float, q: float, trials: int) -> Iterator[Instance]:
+        p = _check_unit_interval("p", p)
+        q = _check_unit_interval("q", q)
+        trials = _check_count("trials", trials, 0)
+        cell_seed = derive_seed(seed, round(p * 10**9), round(q * 10**9))
+        return _cell_instances(n, cell_seed, p, q, trials)
 
     return gen
+
+
+# Trials per block of a stream's cell; even, so every block starts at an even trial.
+_TRIAL_BLOCK = 256
+
+
+def _cell_instances(n: int, cell_seed: int, p: float, q: float, trials: int) -> Iterator[Instance]:
+    """The instances of ``mixed_instance_stream``'s cell, block by block."""
+    jittered = q - p > 1e-6
+    if jittered:
+        # counterexample_instance(p, q), q - p far above its guard, jittered by
+        # 8 draws: the men's table, then the women's, row by row
+        amp = (q - p) / 100.0
+        base = _counterexample_table(p, q)
+    for start in range(0, trials, _TRIAL_BLOCK):
+        seeds = _child_seeds(cell_seed, start, min(trials, start + _TRIAL_BLOCK))
+        randoms = seeds[::2, None] if jittered else seeds[:, None]
+        draws = _unit_floats(_u64_rows(randoms, 2 * n * n)).reshape(-1, 2 * n, n)
+        block = [_drawn_instance(n, rows) for rows in draws.tolist()]
+        if jittered:
+            noise = _unit_floats(_u64_rows(seeds[1::2, None], 8)).reshape(-1, 2, 2, 2)
+            tables = (amp * (2.0 * noise - 1.0) + base).reshape(-1, 4, 2)
+            both = [None] * len(seeds)
+            both[::2] = block
+            both[1::2] = [_drawn_instance(2, rows) for rows in tables.tolist()]
+            block = both
+        yield from block
 
 
 def check_pq_monotonicity(

@@ -8,11 +8,13 @@ a child seed so independent work units (sweep cells, trial indices) get
 decorrelated streams without sharing state.
 
 The k-th state of a stream is its seed plus k times the constant, mod
-2**64, so a block of draws needs no loop: ``next_u64s`` computes the
+2**64, so a block of draws needs no loop: ``_u64_rows`` computes the
 states and both mixing rounds over numpy ``uint64`` arrays, which wrap
-mod 2**64, and returns the bits that as many ``next_u64`` calls would.
-Whole reward tables are drawn this way; the scalar draws serve callers
-that interleave draws with other work.
+mod 2**64, for a column of seeds at once, one row of draws per seed.
+``next_u64s`` is its one-seed case and returns the bits that as many
+``next_u64`` calls would.  Whole reward tables, and whole sweep cells of
+them, are drawn this way; the scalar draws serve callers that interleave
+draws with other work.
 """
 
 from __future__ import annotations
@@ -53,6 +55,26 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _u64_rows(seeds, k: int) -> np.ndarray:
+    """The first k outputs of ``SplitMix64(seed)`` for each seed of ``seeds``,
+    a uint64 column (an (m, 1) array) or one ``np.uint64``, as an (m, k)
+    or a (k,) uint64 array: the j-th output, j = 1..k, is the mix of
+    seed + j times the constant."""
+    states = np.arange(1, k + 1, dtype=_U64)
+    states *= _U64_GAMMA
+    states = seeds + states  # frees the steps: the mix adds one temporary
+    return _mix64_array(states)
+
+
+def _unit_floats(bits: np.ndarray) -> np.ndarray:
+    """``uniform01`` of each 64-bit draw, as a float64 array; ``bits`` is
+    spent."""
+    bits >>= _SHIFTS[3]
+    floats = bits.astype(float)
+    floats *= 2.0**-53
+    return floats
+
+
 class SplitMix64:
     """splitmix64 stream over 64-bit states."""
 
@@ -72,11 +94,9 @@ class SplitMix64:
         ``next_u64`` calls leave."""
         if type(k) is not int or k < 0:
             k = _check_count("k", k, 0)
-        states = np.arange(1, k + 1, dtype=_U64)
-        states *= _U64_GAMMA
-        states += _U64(self._state)
+        bits = _u64_rows(_U64(self._state), k)
         self._state = (self._state + k * _GAMMA) & _MASK64
-        return _mix64_array(states)
+        return bits
 
     def uniform01(self) -> float:
         """Float in [0, 1) with 53 random mantissa bits."""
@@ -121,10 +141,20 @@ def derive_seed(*parts: int) -> int:
     """Fold integers into a 64-bit child seed; order-sensitive."""
     acc = 0
     for part in parts:
-        if type(part) is not int:  # a plain int skips the rule: the sweep calls this per trial
+        if type(part) is not int:  # a plain int skips the rule: the sweep calls this per cell
             part = _check_integer("seed part", part)
         acc = _mix64((acc ^ (part & _MASK64)) + _GAMMA & _MASK64)
     return acc
+
+
+def _child_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """``derive_seed(*parts, t)`` for t in range(start, stop), as a uint64
+    array, where ``seed`` is ``derive_seed(*parts)`` and 0 <= start <= stop
+    <= 2**64: each index folds in as the last part does there."""
+    acc = np.arange(start, stop, dtype=_U64)
+    acc ^= _U64(seed)
+    acc += _U64_GAMMA
+    return _mix64_array(acc)
 
 
 @dataclass(frozen=True)
@@ -136,11 +166,7 @@ class Uniform01:
 
     def samples(self, rng: SplitMix64, k: int) -> np.ndarray:
         """k samples as a float64 array, equal to k ``sample`` calls."""
-        bits = rng.next_u64s(k)
-        bits >>= _SHIFTS[3]
-        floats = bits.astype(float)
-        floats *= 2.0**-53
-        return floats
+        return _unit_floats(rng.next_u64s(k))
 
 
 @dataclass(frozen=True)

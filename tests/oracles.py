@@ -210,9 +210,9 @@ def scalar_random_instance(n: int, seed: int, dist=Uniform01()) -> Instance:
 
 
 def scalar_instance_stream(n: int, seed: int):
-    """``mixed_instance_stream(n, seed)`` one draw at a time."""
+    """``mixed_instance_stream(n, seed)`` one trial, and one draw, at a time."""
 
-    def gen(p: float, q: float, trial: int) -> Instance:
+    def trial_instance(p: float, q: float, trial: int) -> Instance:
         cell_seed = derive_seed(seed, round(p * 10**9), round(q * 10**9), trial)
         if trial % 2 == 1 and q - p > 1e-6:
             base = counterexample_instance(p, q)
@@ -226,6 +226,9 @@ def scalar_instance_stream(n: int, seed: int):
             theta_w = tuple(tuple(jitter(x) for x in row) for row in base.theta_w)
             return Instance(2, theta_m, theta_w)
         return scalar_random_instance(n, cell_seed, Uniform01())
+
+    def gen(p: float, q: float, trials: int):
+        return (trial_instance(p, q, trial) for trial in range(trials))
 
     return gen
 

@@ -1416,6 +1416,36 @@ REFUSALS = {
     "mixed_instance_stream n=0": (
         lambda: mixed_instance_stream(0, 1), DomainError, "stream size must be >= 1, got 0"
     ),
+    "mixed_instance_stream p=-1": (
+        lambda: mixed_instance_stream(3, 1)(-1.0, 1.0, 1),
+        DomainError,
+        "p must lie in [0, 1], got -1.0",
+    ),
+    "mixed_instance_stream p=nan": (
+        lambda: mixed_instance_stream(3, 1)(math.nan, 0.5, 0),
+        DomainError,
+        "p must lie in [0, 1], got nan",
+    ),
+    "mixed_instance_stream p=True": (
+        lambda: mixed_instance_stream(3, 1)(True, 1.0, 1),
+        DomainError,
+        "p must lie in [0, 1], got True",
+    ),
+    "mixed_instance_stream q=inf": (
+        lambda: mixed_instance_stream(3, 1)(0.0, math.inf, 1),
+        DomainError,
+        "q must lie in [0, 1], got inf",
+    ),
+    "mixed_instance_stream trials=-1": (
+        lambda: mixed_instance_stream(3, 1)(0.0, 1.0, -1),
+        DomainError,
+        "trials must be >= 0, got -1",
+    ),
+    "mixed_instance_stream trials=1.5": (
+        lambda: mixed_instance_stream(3, 1)(0.0, 1.0, 1.5),
+        MalformedInputError,
+        "trials must be an integer",
+    ),
     "check_pq_monotonicity grid_steps=1": (
         lambda: check_pq_monotonicity(BOXED, Matching((0, 1)), 1),
         DomainError,

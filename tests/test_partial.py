@@ -1,4 +1,6 @@
-from itertools import permutations
+import time
+import tracemalloc
+from itertools import islice, permutations
 from math import factorial
 
 import numpy as np
@@ -647,11 +649,19 @@ class TestPlaneSweep:
         ]
 
     def test_size_limit_propagates(self):
-        def oversized(p, q, trial):
-            return random_instance(9, 0)
+        def oversized(p, q, trials):
+            return (random_instance(9, 0) for _ in range(trials))
 
         with pytest.raises(SizeLimitError):
             pq_plane_sweep(oversized, 2, 1)
+
+    @pytest.mark.parametrize("given", [1, 3])
+    def test_refuses_a_cell_of_the_wrong_size(self, given):
+        def stream(p, q, trials):
+            return iter([random_instance(2, 0)] * given)
+
+        with pytest.raises(DomainError, match=f"stream gave {given} instances for 2 trials"):
+            pq_plane_sweep(stream, 2, 2)
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_counts_the_oracle_up_to_its_limit(self, n):
@@ -659,7 +669,7 @@ class TestPlaneSweep:
         report = pq_plane_sweep(mixed_instance_stream(n, 5), 3, 2)
         stream = mixed_instance_stream(n, 5)
         expected = [
-            sum(exists_pq_stable(stream(p, q, t), PQParams(p, q)) is not None for t in range(2))
+            sum(exists_pq_stable(inst, PQParams(p, q)) is not None for inst in stream(p, q, 2))
             for p in (0.0, 0.5, 1.0)
             for q in (0.0, 0.5, 1.0)
         ]
@@ -669,12 +679,38 @@ class TestPlaneSweep:
         with pytest.raises(DomainError):
             pq_plane_sweep(mixed_instance_stream(2, 0), 1, 1)
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_stream_equals_the_scalar_stream(self, n):
-        # every trial of a CLI-default sweep: 11 x 11 cells, 20 trials each
-        stream, scalar = mixed_instance_stream(n, 13), scalar_instance_stream(n, 13)
+    @pytest.mark.parametrize("seed", [13, -1, 2**64 - 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("trials", [1, 21])
+    def test_stream_equals_the_scalar_stream(self, n, seed, trials):
+        # every trial of an 11 x 11 grid; an odd trial count ends each cell
+        # on a random trial, after ten jittered ones in the q > p cells at 21
+        stream, scalar = mixed_instance_stream(n, seed), scalar_instance_stream(n, seed)
         for ip in range(11):
             for iq in range(11):
                 p, q = ip / 10, iq / 10
-                for trial in range(20):
-                    assert repr(stream(p, q, trial)) == repr(scalar(p, q, trial))
+                drawn = list(map(repr, stream(p, q, trials)))
+                assert drawn == list(map(repr, scalar(p, q, trials)))
+
+    @pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_blocks_join_in_trial_order(self, offset):
+        # cells of one or two blocks of draws, at and around their boundaries
+        blocks, extra = offset
+        trials = blocks * partial_transfer._TRIAL_BLOCK + extra
+        stream, scalar = mixed_instance_stream(2, 5), scalar_instance_stream(2, 5)
+        for p, q in ((0.1, 0.7), (0.7, 0.1)):
+            drawn = list(map(repr, stream(p, q, trials)))
+            assert drawn == list(map(repr, scalar(p, q, trials)))
+
+    def test_cells_are_drawn_lazily(self):
+        stream = mixed_instance_stream(3, 1)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            first = list(islice(stream(0.0, 1.0, 10**9), 3))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(map(repr, first)) == list(map(repr, scalar_instance_stream(3, 1)(0.0, 1.0, 3)))
+        assert elapsed < 1.0 and peak < 2**20
